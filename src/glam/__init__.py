@@ -19,7 +19,6 @@ from .frontend import (
 )
 from .machine import (
     DEFAULT_FUEL,
-    erase,
     eval_term,
     is_value,
     observe_conat,
@@ -32,7 +31,7 @@ from .machine import (
 from .denot import den_nat, den_take, den_term, restrict, sem_eq
 from .bde import compile_bde, oracle_eval, parse_bde, validate_bde
 from .prelude import load_extras, load_prelude
-from .syntax import alpha_eq, free_vars, numeral, subst, type_alpha_eq
+from .syntax import alpha_eq, erase, free_vars, numeral, subst, type_alpha_eq
 from .typecheck import (
     box_depth,
     check,

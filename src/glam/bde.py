@@ -32,6 +32,7 @@ from .errors import BadVariable, BdeError, ForwardReference, ParseError, Unknown
 from .frontend import fix_term, tokenize
 from .prelude import load_prelude
 from .syntax import (
+    PRIMITIVES,
     App,
     Arrow,
     Box,
@@ -464,15 +465,12 @@ def host_const(n: int) -> HostStream:
     return HostStream(lambda i: n)
 
 
-_ARITH = {"addN": lambda a, b: a + b, "mulN": lambda a, b: a * b}
-
-
 def _eval_head(h, heads):
     if isinstance(h, HeadNum):
         return h.n
     if isinstance(h, HeadVar):
         return heads[int(h.name[1:]) - 1]
-    return _ARITH[h.op](_eval_head(h.left, heads), _eval_head(h.right, heads))
+    return PRIMITIVES[h.op].op(_eval_head(h.left, heads), _eval_head(h.right, heads))
 
 
 def _oracle_stream(byname: dict, d: BdeDef, args) -> HostStream:

@@ -28,8 +28,10 @@ def _default_fuel() -> int:
 
 
 def _load(path: str) -> Program:
-    text = Path(path).read_text()
-    return parse_program(text, base=load_prelude())
+    """Parse a program file over the prelude and type-check it."""
+    program = parse_program(Path(path).read_text(), base=load_prelude())
+    typecheck.check_program(program)
+    return program
 
 
 def _lookup(program: Program, name: str):
@@ -51,7 +53,6 @@ def _is_stream_type(ty) -> bool:
 
 def cmd_check(args) -> int:
     program = _load(args.file)
-    typecheck.check_program(program)
     for d in program:
         print(f"{d.name} : {pretty_type(d.ty)}")
     return 0
@@ -169,8 +170,7 @@ def run_repl(infile, outfile, fuel: int | None = None) -> None:
                 return
             if line.startswith(":load "):
                 path = line[len(":load "):].strip()
-                program = parse_program(Path(path).read_text(), base=load_prelude())
-                typecheck.check_program(program)
+                program = _load(path)
                 env = program.env()
                 w(f"loaded {len(program)} definitions")
             elif line.startswith(":t "):

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from .errors import DepthExceeded, DenotError, IndexZero, TypingError
 from .syntax import (
     NAT,
+    PRIMITIVES,
     STREAM_G,
     Abort,
     App,
@@ -80,8 +81,6 @@ from . import typecheck
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
 DEFAULT_DEPTH = 10_000
-
-_DELTA = {"addN": lambda a, b: a + b, "mulN": lambda a, b: a * b}
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +416,7 @@ def _den1(t: Term, i: int, env: SemEnv) -> SemVal:
             return SIn(tag, SGlobal(lambda j, _g=g: _g.at(j).val))
         case Prim(name, args):
             vals = [_den(a, i, env).n for a in args]
-            return SNat(_DELTA[name](*vals))
+            return SNat(PRIMITIVES[name].op(*vals))
         case Ascribe(b, _):
             return _den(b, i, env)
         case _:
@@ -461,8 +460,11 @@ def den_take(t: Term, i: int, depth_limit: int = DEFAULT_DEPTH):
     """
     try:
         v = den_term({}, t, STREAM_G, i, depth_limit=depth_limit)
-    except TypingError:
-        v = den_term({}, Unbox(t), STREAM_G, i, depth_limit=depth_limit)
+    except TypingError as e:
+        try:
+            v = den_term({}, Unbox(t), STREAM_G, i, depth_limit=depth_limit)
+        except TypingError:
+            raise e from None  # t's own error, not the retry's
     out = []
     for j in range(i, 0, -1):
         out.append(v.left.n)

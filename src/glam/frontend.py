@@ -385,7 +385,7 @@ class _Parser:
         while self.peek().kind in _TERM_START:
             units.append(self.p_prefix())
         if isinstance(head, _PrimRef):
-            arity = PRIMITIVES[head.name]
+            arity = PRIMITIVES[head.name].arity
             if len(units) > arity:
                 raise ParseError(
                     f"primitive {head.name} takes {arity} arguments, given {len(units)}",
@@ -399,7 +399,7 @@ class _Parser:
         return out
 
     def _saturate(self, ref: _PrimRef, args) -> Term:
-        arity = PRIMITIVES[ref.name]
+        arity = PRIMITIVES[ref.name].arity
         missing = arity - len(args)
         if missing == 0:
             return Prim(ref.name, tuple(args), loc=ref.loc)

@@ -3,9 +3,9 @@
 ``step`` decomposes a closed term into an evaluation context around
 the unique redex by an iterative context search; ``step_rd`` is an
 independent recursive-descent implementation used to cross-check
-determinism.  Reduction ignores type annotations entirely; ``erase``
-strips annotations and ascriptions so the reduction rules apply to
-the bare grammar.
+determinism.  Reduction ignores type annotations entirely;
+``syntax.erase`` (importable from here too) strips annotations and
+ascriptions so the reduction rules apply to the bare grammar.
 
 Two evaluators share these reduction rules:
 
@@ -40,6 +40,8 @@ from dataclasses import dataclass
 
 from .errors import FuelExhaustedError, StuckError
 from .syntax import (
+    PRIMITIVES,
+    SHAPES,
     Abort,
     App,
     Ascribe,
@@ -66,6 +68,7 @@ from .syntax import (
     UnitVal,
     Var,
     Zero,
+    erase,
     numeral,
     numeral_value,
     subst,
@@ -115,94 +118,7 @@ class Stuck(EvalOutcome):
 
 
 # ---------------------------------------------------------------------------
-# Annotation erasure
-
-
-def erase(t: Term) -> Term:
-    """Strip ascriptions and all type annotations.
-
-    Subtrees that are already bare are returned unchanged, so erasing
-    an erased term is the identity (and preserves sharing).
-    """
-    match t:
-        case Var(_) | Zero() | UnitVal():
-            return t
-        case Ascribe(b, _):
-            return erase(b)
-        case Succ(b):
-            b2 = erase(b)
-            return t if b2 is b else Succ(b2)
-        case Pair(l, r):
-            l2, r2 = erase(l), erase(r)
-            return t if l2 is l and r2 is r else Pair(l2, r2)
-        case Proj1(b):
-            b2 = erase(b)
-            return t if b2 is b else Proj1(b2)
-        case Proj2(b):
-            b2 = erase(b)
-            return t if b2 is b else Proj2(b2)
-        case Abort(a, b):
-            b2 = erase(b)
-            return t if a is None and b2 is b else Abort(None, b2)
-        case In1(a, b):
-            b2 = erase(b)
-            return t if a is None and b2 is b else In1(None, b2)
-        case In2(a, b):
-            b2 = erase(b)
-            return t if a is None and b2 is b else In2(None, b2)
-        case Case(s, x1, a1, x2, a2):
-            s2, a1n, a2n = erase(s), erase(a1), erase(a2)
-            if s2 is s and a1n is a1 and a2n is a2:
-                return t
-            return Case(s2, x1, a1n, x2, a2n)
-        case Lam(x, a, b):
-            b2 = erase(b)
-            return t if a is None and b2 is b else Lam(x, None, b2)
-        case App(f, a):
-            f2, a2 = erase(f), erase(a)
-            return t if f2 is f and a2 is a else App(f2, a2)
-        case Fold(a, b):
-            b2 = erase(b)
-            return t if a is None and b2 is b else Fold(None, b2)
-        case Unfold(b):
-            b2 = erase(b)
-            return t if b2 is b else Unfold(b2)
-        case Next(b):
-            b2 = erase(b)
-            return t if b2 is b else Next(b2)
-        case Prev(sig, b):
-            sig2, b2 = _erase_sig(sig), erase(b)
-            return t if sig2 is sig and b2 is b else Prev(sig2, b2)
-        case LaterApp(f, a):
-            f2, a2 = erase(f), erase(a)
-            return t if f2 is f and a2 is a else LaterApp(f2, a2)
-        case BoxI(sig, b):
-            sig2, b2 = _erase_sig(sig), erase(b)
-            return t if sig2 is sig and b2 is b else BoxI(sig2, b2)
-        case Unbox(b):
-            b2 = erase(b)
-            return t if b2 is b else Unbox(b2)
-        case BoxSum(sig, b):
-            sig2, b2 = _erase_sig(sig), erase(b)
-            return t if sig2 is sig and b2 is b else BoxSum(sig2, b2)
-        case Prim(name, args):
-            args2 = tuple(erase(a) for a in args)
-            return t if all(x is y for x, y in zip(args2, args)) else Prim(name, args2)
-        case _:
-            raise TypeError(f"not a term: {t!r}")
-
-
-def _erase_sig(sig):
-    out = tuple((x, erase(u)) for x, u in sig)
-    if all(u2 is u for (_, u2), (_, u) in zip(out, sig)):
-        return sig
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Root reduction rules
-
-_DELTA = {"addN": lambda a, b: a + b, "mulN": lambda a, b: a * b}
 
 
 def _c_proj1(t):
@@ -272,7 +188,7 @@ def _c_prim(t):
         if n is None:
             return None
         vals.append(n)
-    return numeral(_DELTA[t.name](*vals))
+    return numeral(PRIMITIVES[t.name].op(*vals))
 
 
 _CONTRACT = {
@@ -379,29 +295,16 @@ def _descend(t: Term):
     return h(t) if h is not None else None
 
 
-# Frames only ever hold evaluation-context nodes, so the rebuild table
-# is small.  The binder frames always carry an empty substitution.
-_REBUILD = {
-    (Succ, "body"): lambda p, c: Succ(c),
-    (Proj1, "body"): lambda p, c: Proj1(c),
-    (Proj2, "body"): lambda p, c: Proj2(c),
-    (Unfold, "body"): lambda p, c: Unfold(c),
-    (Unbox, "body"): lambda p, c: Unbox(c),
-    (Prev, "body"): lambda p, c: Prev((), c),
-    (BoxSum, "body"): lambda p, c: BoxSum((), c),
-    (Case, "scrut"): lambda p, c: Case(c, p.var1, p.arm1, p.var2, p.arm2),
-    (App, "fun"): lambda p, c: App(c, p.arg),
-    (LaterApp, "fun"): lambda p, c: LaterApp(c, p.arg),
-    (LaterApp, "arg"): lambda p, c: LaterApp(p.fun, c),
-}
-
-
 def _set_child(parent: Term, fld, child: Term) -> Term:
-    if isinstance(fld, tuple):
-        args = list(parent.args)
-        args[fld[1]] = child
-        return Prim(parent.name, tuple(args))
-    return _REBUILD[(parent.__class__, fld)](parent, child)
+    """A copy of the context node parent, with no location, holding
+    child at fld: a field name, or ("args", i) for a primitive argument."""
+    if fld.__class__ is tuple:
+        fld, i = fld
+        child = parent.args[:i] + (child,) + parent.args[i + 1 :]
+    out = []
+    for name, _ in SHAPES[parent.__class__]:
+        out.append(child if name == fld else getattr(parent, name))
+    return parent.__class__(*out)
 
 
 def _plug(frames, t: Term) -> Term:
@@ -705,7 +608,7 @@ def _need(t: Term, env: dict, fuel: int, stack=None):
                 raise FuelExhaustedError(f"no value after {steps} steps")
             steps += 1
             if k is _PRIM_ARG:
-                v = _DELTA[x.name](*vals)
+                v = PRIMITIVES[x.name].op(*vals)
                 continue
             if k is _LATER_ARG:
                 v = _Con(Next, _Thunk(_APPLY_FA, {"f": x.a, "a": v.a}))

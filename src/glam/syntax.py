@@ -11,13 +11,17 @@ carry an explicit substitution: an ordered list of (variable, term)
 pairs.  The listed variables are bound in the body and nowhere else;
 term substitution lands in the listed terms only and never touches
 the body.
+
+``SHAPES`` gives the child structure of every term class; the
+structural traversals (``free_vars``, ``subst``, ``erase``) loop over it.
 """
 
 from __future__ import annotations
 
+import operator
 import weakref
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 # ---------------------------------------------------------------------------
 # Types
@@ -292,8 +296,60 @@ def _term_repr(t: Term) -> str:
 
 Term.__repr__ = _term_repr  # type: ignore[assignment]
 
-# Registered primitive signature: name -> arity (all at Nat).
-PRIMITIVES = {"addN": 2, "mulN": 2}
+
+class Primitive(NamedTuple):
+    arity: int
+    op: Callable  # its meaning on Python ints
+
+
+# The built-in function symbols, all at Nat.  The machine's delta rule,
+# the denotation and the BDE oracle all compute with ``op``.
+PRIMITIVES = {"addN": Primitive(2, operator.add), "mulN": Primitive(2, operator.mul)}
+
+
+# ---------------------------------------------------------------------------
+# Child shapes: each term class's fields in dataclass order, loc left
+# out, with what each field holds.  The machine plugs contexts with it.
+
+TERM = "term"  # a subterm
+BINDER = "binder"  # a variable name bound in the next subterm
+SUBST = "subst"  # an explicit substitution: its names alone scope the next subterm
+TERMS = "terms"  # a tuple of subterms
+TYPE = "type"  # a type annotation (None when absent)
+DATA = "data"  # other data: a variable or primitive name
+
+SHAPES = {
+    Var: (("name", DATA),),
+    Zero: (),
+    Succ: (("body", TERM),),
+    UnitVal: (),
+    Pair: (("left", TERM), ("right", TERM)),
+    Proj1: (("body", TERM),),
+    Proj2: (("body", TERM),),
+    Abort: (("annot", TYPE), ("body", TERM)),
+    In1: (("annot", TYPE), ("body", TERM)),
+    In2: (("annot", TYPE), ("body", TERM)),
+    Case: (("scrut", TERM), ("var1", BINDER), ("arm1", TERM), ("var2", BINDER), ("arm2", TERM)),
+    Lam: (("var", BINDER), ("annot", TYPE), ("body", TERM)),
+    App: (("fun", TERM), ("arg", TERM)),
+    Fold: (("annot", TYPE), ("body", TERM)),
+    Unfold: (("body", TERM),),
+    Next: (("body", TERM),),
+    Prev: (("subst", SUBST), ("body", TERM)),
+    LaterApp: (("fun", TERM), ("arg", TERM)),
+    BoxI: (("subst", SUBST), ("body", TERM)),
+    Unbox: (("body", TERM),),
+    BoxSum: (("subst", SUBST), ("body", TERM)),
+    Prim: (("name", DATA), ("args", TERMS)),
+    Ascribe: (("body", TERM), ("annot", TYPE)),
+}
+
+
+def _shape(t) -> tuple:
+    try:
+        return SHAPES[t.__class__]
+    except KeyError:
+        raise TypeError(f"not a term: {t!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +399,9 @@ def numeral_value(t: Term) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # Free variables
 
+_HIDDEN = object()  # scope marker: the next subterm sees only an explicit substitution
+
+
 def free_vars(t: Term) -> frozenset:
     """Free term variables of t.
 
@@ -355,27 +414,27 @@ def free_vars(t: Term) -> frozenset:
         return t._fv
     except AttributeError:
         pass
-    match t:
-        case Var(x):
-            fv = frozenset((x,))
-        case Zero() | UnitVal():
-            fv = frozenset()
-        case Succ(b) | Proj1(b) | Proj2(b) | Unfold(b) | Next(b) | Unbox(b):
-            fv = free_vars(b)
-        case Abort(_, b) | In1(_, b) | In2(_, b) | Fold(_, b) | Ascribe(b, _):
-            fv = free_vars(b)
-        case Pair(l, r) | App(l, r) | LaterApp(l, r):
-            fv = free_vars(l) | free_vars(r)
-        case Case(s, x1, a1, x2, a2):
-            fv = free_vars(s) | (free_vars(a1) - {x1}) | (free_vars(a2) - {x2})
-        case Lam(x, _, b):
-            fv = free_vars(b) - {x}
-        case Prev(sig, _) | BoxI(sig, _) | BoxSum(sig, _):
-            fv = frozenset().union(*(free_vars(u) for _, u in sig)) if sig else frozenset()
-        case Prim(_, args):
-            fv = frozenset().union(*(free_vars(a) for a in args)) if args else frozenset()
-        case _:
-            raise TypeError(f"not a term: {t!r}")
+    if t.__class__ is Var:
+        fv = frozenset((t.name,))
+    else:
+        parts = []
+        scope = None  # a binder name, or _HIDDEN, for the next subterm
+        for name, kind in _shape(t):
+            v = getattr(t, name)
+            if kind is TERM:
+                if scope is None:
+                    parts.append(free_vars(v))
+                elif scope is not _HIDDEN:
+                    parts.append(free_vars(v) - {scope})
+                scope = None
+            elif kind is BINDER:
+                scope = v
+            elif kind is SUBST:
+                parts.extend(free_vars(u) for _, u in v)
+                scope = _HIDDEN
+            elif kind is TERMS:
+                parts.extend(free_vars(a) for a in v)
+        fv = parts[0] if len(parts) == 1 else frozenset().union(*parts)
     object.__setattr__(t, "_fv", fv)
     return fv
 
@@ -420,127 +479,33 @@ def _applicable(m: dict, t: Term) -> bool:
     return False
 
 
-def _s_var(t, m):
-    return m.get(t.name, t)
-
-
-def _s_succ(t, m):
-    return Succ(_subst(t.body, m), loc=t.loc)
-
-
-def _s_pair(t, m):
-    return Pair(_subst(t.left, m), _subst(t.right, m), loc=t.loc)
-
-
-def _s_proj1(t, m):
-    return Proj1(_subst(t.body, m), loc=t.loc)
-
-
-def _s_proj2(t, m):
-    return Proj2(_subst(t.body, m), loc=t.loc)
-
-
-def _s_abort(t, m):
-    return Abort(t.annot, _subst(t.body, m), loc=t.loc)
-
-
-def _s_in1(t, m):
-    return In1(t.annot, _subst(t.body, m), loc=t.loc)
-
-
-def _s_in2(t, m):
-    return In2(t.annot, _subst(t.body, m), loc=t.loc)
-
-
-def _s_case(t, m):
-    s2 = _subst(t.scrut, m)
-    x1n, a1n = _subst_under(t.var1, t.arm1, m)
-    x2n, a2n = _subst_under(t.var2, t.arm2, m)
-    return Case(s2, x1n, a1n, x2n, a2n, loc=t.loc)
-
-
-def _s_lam(t, m):
-    xn, bn = _subst_under(t.var, t.body, m)
-    return Lam(xn, t.annot, bn, loc=t.loc)
-
-
-def _s_app(t, m):
-    return App(_subst(t.fun, m), _subst(t.arg, m), loc=t.loc)
-
-
-def _s_fold(t, m):
-    return Fold(t.annot, _subst(t.body, m), loc=t.loc)
-
-
-def _s_unfold(t, m):
-    return Unfold(_subst(t.body, m), loc=t.loc)
-
-
-def _s_next(t, m):
-    return Next(_subst(t.body, m), loc=t.loc)
-
-
-def _s_prev(t, m):
-    return Prev(tuple((x, _subst(u, m)) for x, u in t.subst), t.body, loc=t.loc)
-
-
-def _s_laterapp(t, m):
-    return LaterApp(_subst(t.fun, m), _subst(t.arg, m), loc=t.loc)
-
-
-def _s_boxi(t, m):
-    return BoxI(tuple((x, _subst(u, m)) for x, u in t.subst), t.body, loc=t.loc)
-
-
-def _s_unbox(t, m):
-    return Unbox(_subst(t.body, m), loc=t.loc)
-
-
-def _s_boxsum(t, m):
-    return BoxSum(tuple((x, _subst(u, m)) for x, u in t.subst), t.body, loc=t.loc)
-
-
-def _s_prim(t, m):
-    return Prim(t.name, tuple(_subst(a, m) for a in t.args), loc=t.loc)
-
-
-def _s_ascribe(t, m):
-    return Ascribe(_subst(t.body, m), t.annot, loc=t.loc)
-
-
-_SUBST = {
-    Var: _s_var,
-    Succ: _s_succ,
-    Pair: _s_pair,
-    Proj1: _s_proj1,
-    Proj2: _s_proj2,
-    Abort: _s_abort,
-    In1: _s_in1,
-    In2: _s_in2,
-    Case: _s_case,
-    Lam: _s_lam,
-    App: _s_app,
-    Fold: _s_fold,
-    Unfold: _s_unfold,
-    Next: _s_next,
-    Prev: _s_prev,
-    LaterApp: _s_laterapp,
-    BoxI: _s_boxi,
-    Unbox: _s_unbox,
-    BoxSum: _s_boxsum,
-    Prim: _s_prim,
-    Ascribe: _s_ascribe,
-}
-
-
 def _subst(t: Term, m: dict) -> Term:
     if not _applicable(m, t):
         return t
-    try:
-        h = _SUBST[t.__class__]
-    except KeyError:
-        raise TypeError(f"not a term: {t!r}") from None
-    return h(t, m)
+    if t.__class__ is Var:
+        return m[t.name]
+    out = []
+    binder = None  # the index in out of the binder of the next subterm
+    hidden = False  # the next subterm sees only an explicit substitution
+    for name, kind in _shape(t):
+        v = getattr(t, name)
+        if kind is TERM:
+            if hidden:
+                hidden = False
+            elif binder is None:
+                v = _subst(v, m)
+            else:
+                out[binder], v = _subst_under(out[binder], v, m)
+                binder = None
+        elif kind is BINDER:
+            binder = len(out)
+        elif kind is SUBST:
+            v = tuple((x, _subst(u, m)) for x, u in v)
+            hidden = True
+        elif kind is TERMS:
+            v = tuple(_subst(a, m) for a in v)
+        out.append(v)
+    return t.__class__(*out, loc=t.loc)
 
 
 def _subst_under(x: str, body: Term, m: dict):
@@ -558,6 +523,39 @@ def _subst_under(x: str, body: Term, m: dict):
         body = _subst(body, {x: Var(xn)})
         x = xn
     return x, _subst(body, m2)
+
+
+# ---------------------------------------------------------------------------
+# Annotation erasure
+
+
+def erase(t: Term) -> Term:
+    """Strip ascriptions and all type annotations.
+
+    Subtrees that are already bare are returned unchanged, so erasing
+    an erased term is the identity (and preserves sharing).  Rebuilt
+    nodes carry no source location.
+    """
+    if t.__class__ is Ascribe:
+        return erase(t.body)
+    out = []
+    changed = False
+    for name, kind in _shape(t):
+        v = getattr(t, name)
+        if kind is TERM:
+            v2 = erase(v)
+        elif kind is TYPE:
+            v2 = None
+        elif kind is SUBST:
+            v2 = tuple((x, erase(u)) for x, u in v)
+        elif kind is TERMS:
+            v2 = tuple(erase(a) for a in v)
+        else:
+            v2 = v
+        # terms compare by identity, so equal tuples hold the same nodes
+        changed = changed or v2 != v
+        out.append(v2)
+    return t.__class__(*out) if changed else t
 
 
 # ---------------------------------------------------------------------------

@@ -468,8 +468,8 @@ def _elab1(ctx, t, want):
                 raise _mismatch("boxp body must have a sum type", t.loc)
             return BoxSum(sig2, b2, loc=t.loc), Sum(Box(tb.left), Box(tb.right))
         case Prim(name, args):
-            arity = PRIMITIVES.get(name)
-            if arity is None or arity != len(args):
+            prim = PRIMITIVES.get(name)
+            if prim is None or prim.arity != len(args):
                 raise TypingError(f"bad primitive application {name}", t.loc)
             args2 = tuple(_elab(ctx, a, NAT)[0] for a in args)
             return _done(Prim(name, args2, loc=t.loc), NAT, want, t.loc)

@@ -1,6 +1,8 @@
 import io
 from pathlib import Path
 
+import pytest
+
 from glam.cli import main, run_repl
 from glam.prelude import PRELUDE_PATH
 
@@ -47,6 +49,16 @@ def test_check_badfolds_rejected(capsys):
     assert main(["check", str(PROGRAMS / "badfolds.gl")]) == 1
     err = capsys.readouterr().err
     assert "TypeMismatch" in err
+
+
+@pytest.mark.parametrize("cmd", [["run"], ["take", "6"], ["denote"]])
+def test_ill_typed_file_rejected_before_running(capsys, cmd):
+    # run, take and denote type-check the file first, as check does
+    argv = [cmd[0], str(PROGRAMS / "badfolds.gl"), "badfolds", *cmd[1:]]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("TypeMismatch: in definition 'badfolds'")
+    assert captured.out == ""
 
 
 def test_usage_error_exit_two(capsys):

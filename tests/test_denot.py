@@ -15,7 +15,7 @@ from glam.denot import (
     restrict_to,
     sem_eq,
 )
-from glam.errors import DepthExceeded, IndexZero
+from glam.errors import DepthExceeded, IndexZero, TypingError
 from glam.machine import observe_nat, take_stream, trace
 from glam.syntax import NAT, STREAM_G, Box, Later, Prod, numeral
 from glam.typecheck import elaborate
@@ -85,6 +85,13 @@ def test_den_take_examples():
 
 def test_den_take_unboxes():
     assert den_take(_t("box toggle"), 3) == [1, 0, 1]
+
+
+@pytest.mark.parametrize("t", [numeral(3), _t("hdg zeros")], ids=["numeral", "hdg"])
+def test_den_take_reports_the_terms_own_error(t):
+    # the error is the one for t itself, not the retry's "unbox applied to ..."
+    with pytest.raises(TypingError, match="has type Nat but mu a. Nat"):
+        den_take(t, 3)
 
 
 def test_den_nat_examples():

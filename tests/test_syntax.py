@@ -1,8 +1,11 @@
+import dataclasses
+
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from glam.syntax import (
     NAT,
+    SHAPES,
     STREAM_G,
     UNIT,
     Abort,
@@ -29,13 +32,16 @@ from glam.syntax import (
     Proj2,
     Succ,
     Sum,
+    Term,
     TVar,
+    Type,
     Unbox,
     Unfold,
     UnitVal,
     Var,
     Zero,
     alpha_eq,
+    erase,
     free_vars,
     numeral,
     numeral_value,
@@ -145,6 +151,20 @@ def test_numerals():
 
 
 # ---------------------------------------------------------------------------
+# The child-shape table
+
+
+def test_every_term_class_has_a_shape():
+    # A new term former without an entry would be skipped silently by
+    # the generic traversals.
+    classes = Term.__subclasses__()
+    assert set(SHAPES) == set(classes)
+    for c in classes:
+        fields = [f.name for f in dataclasses.fields(c) if f.name != "loc"]
+        assert [name for name, _ in SHAPES[c]] == fields, c.__name__
+
+
+# ---------------------------------------------------------------------------
 # Generators
 
 
@@ -189,6 +209,7 @@ def _extend(s):
         st.builds(Unfold, s),
         st.builds(lambda b: In1(Sum(NAT, UNIT), b), s),
         st.builds(lambda b: In2(None, b), s),
+        st.builds(lambda b: Abort(NAT, b), s),
         st.builds(
             lambda sc, x1, a1, x2, a2: Case(sc, x1, a1, x2, a2), s, _names, s, _names, s
         ),
@@ -269,8 +290,36 @@ def test_subst_composition(t, u, v):
 @settings(max_examples=150)
 def test_subst_free_vars_bound(t, u):
     x = "x"
+    fv = free_vars(t)
     got = free_vars(subst(t, [(x, u)]))
-    assert got <= (free_vars(t) - {x}) | free_vars(u)
+    assert got == (fv - {x}) | (free_vars(u) if x in fv else frozenset())
+
+
+@given(_terms, _terms)
+@settings(max_examples=150)
+def test_subst_of_non_free_variable_shares(t, u):
+    assume("x" not in free_vars(t))
+    assert subst(t, {"x": u}) is t
+
+
+def _annotated(x):
+    """Whether an Ascribe or a type annotation occurs anywhere in x."""
+    if isinstance(x, (Ascribe, Type)):
+        return True
+    if isinstance(x, Term):
+        return any(_annotated(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, tuple):
+        return any(_annotated(y) for y in x)
+    return False
+
+
+@given(_terms)
+@settings(max_examples=150)
+def test_erase_properties(t):
+    e = erase(t)
+    assert erase(e) is e
+    assert not _annotated(e)
+    assert free_vars(e) == free_vars(t)
 
 
 @given(_terms)
