@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import bde as bdemod
 from . import denot, machine, typecheck
-from .errors import GlamError
+from .errors import GlamError, NestingTooDeep
 from .frontend import Program, parse_program, parse_term, pretty, pretty_type
 from .prelude import load_prelude
 from .syntax import App, Box, NAT, STREAM_G, type_alpha_eq
@@ -277,6 +277,9 @@ def main(argv=None) -> int:
     except GlamError as e:
         print(e.render(), file=sys.stderr)
         return 1
+    except RecursionError:
+        print(NestingTooDeep("input nested too deeply to process").render(), file=sys.stderr)
+        return 1
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -284,3 +287,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -24,8 +24,12 @@ by naturality).  Stage 1 of any later type is trivial and evaluates
 nothing, which is why every guarded fixed point unwinds in finitely
 many steps here.
 
-Input terms must be elaborated (every lambda domain-annotated); the
-public entry points elaborate internally.
+Values are tagged and mu-types are transparent, so a value's shape
+alone determines its restriction map (``restrict``): pairs and
+injections restrict their parts, a later value drops a stage, a
+function lowers its ceiling, and every other value is the same at
+every stage.  Evaluation therefore needs no types; ``den_term``
+type-checks its input once on entry.
 """
 
 from __future__ import annotations
@@ -169,43 +173,21 @@ class SGlobal(SemVal):
 # Restriction maps
 
 
-def _mu_unfold(a: Mu) -> Type:
-    return typecheck._mu_unfold(a)
-
-
-def restrict(a: Type, i: int, v: SemVal) -> SemVal:
-    """The restriction map of [[a]] from stage i+1 down to stage i."""
-    if i < 1:
-        raise IndexZero(f"restriction to stage {i}")
-    match a:
-        case Nat() | Unit() | Box(_):
-            return v
-        case Prod(l, r):
-            return SPair(restrict(l, i, v.left), restrict(r, i, v.right))
-        case Sum(l, r):
-            comp = l if v.tag == 1 else r
-            return SIn(v.tag, restrict(comp, i, v.val))
-        case Arrow(_, _):
-            return SFun(v.fn, min(v.ceiling, i))
-        case Later(b):
-            if i == 1:
-                return SLATERSTAR
-            return SLater(restrict(b, i - 1, v.val))
-        case Mu(_, _):
-            return restrict(_mu_unfold(a), i, v)
-        case Void() | TVar(_):
-            raise DenotError(f"no elements to restrict at {a!r}")
+def restrict(v: SemVal, j: int) -> SemVal:
+    """Restrict v from its own stage down to stage j, by v's shape."""
+    if j < 1:
+        raise IndexZero(f"restriction to stage {j}")
+    match v:
+        case SPair(l, r):
+            return SPair(restrict(l, j), restrict(r, j))
+        case SIn(tag, b):
+            return SIn(tag, restrict(b, j))
+        case SLater(b):
+            return SLATERSTAR if j == 1 else SLater(restrict(b, j - 1))
+        case SFun():
+            return SFun(v.fn, min(v.ceiling, j))
         case _:
-            raise TypeError(f"not a type: {a!r}")
-
-
-def restrict_to(a: Type, i: int, j: int, v: SemVal) -> SemVal:
-    """Compose restrictions from stage i down to stage j <= i."""
-    if i == j or typecheck.is_constant(a):
-        return v
-    for k in range(i - 1, j - 1, -1):
-        v = restrict(a, k, v)
-    return v
+            return v
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +195,7 @@ def restrict_to(a: Type, i: int, j: int, v: SemVal) -> SemVal:
 
 
 class SemEnv:
-    """Variable environment at a fixed stage: name -> (type, value)."""
+    """Variable environment at a fixed stage: name -> value."""
 
     __slots__ = ("index", "items")
 
@@ -221,9 +203,9 @@ class SemEnv:
         self.index = index
         self.items = dict(items) if items else {}
 
-    def bind(self, x: str, ty: Type, v: SemVal) -> "SemEnv":
+    def bind(self, x: str, v: SemVal) -> "SemEnv":
         out = SemEnv(self.index, self.items)
-        out.items[x] = (ty, v)
+        out.items[x] = v
         return out
 
     def at_index(self, j: int) -> "SemEnv":
@@ -231,14 +213,8 @@ class SemEnv:
             return self
         assert j < self.index, "environments only restrict downward"
         out = SemEnv(j)
-        out.items = {
-            x: (ty, restrict_to(ty, self.index, j, v))
-            for x, (ty, v) in self.items.items()
-        }
+        out.items = {x: restrict(v, j) for x, v in self.items.items()}
         return out
-
-    def ctx(self) -> dict:
-        return {x: ty for x, (ty, _) in self.items.items()}
 
 
 class _Sess:
@@ -274,10 +250,10 @@ def den_term(
 ) -> SemVal:
     """The element of [[a]] at stage i denoted by ctx |- t : a.
 
-    ``env`` must supply a (type, value) pair at stage i for every
-    context variable; omitted for closed terms.  ``elaborated`` skips
-    the internal elaboration pass for terms already carrying their
-    annotations (e.g. reducts of an elaborated term).
+    ``env`` maps every context variable to its value at stage i;
+    omitted for closed terms.  t is type-checked against a first,
+    unless ``elaborated`` says it already has been (e.g. a reduct of
+    an elaborated term).
     """
     if i < 1:
         raise IndexZero(f"denotation at stage {i}")
@@ -347,7 +323,7 @@ def _den(t: Term, i: int, env: SemEnv) -> SemVal:
 def _den1(t: Term, i: int, env: SemEnv) -> SemVal:
     match t:
         case Var(x):
-            return env.items[x][1]
+            return env.items[x]
         case Zero():
             return SNat(0)
         case Succ(b):
@@ -367,17 +343,14 @@ def _den1(t: Term, i: int, env: SemEnv) -> SemVal:
         case In2(_, b):
             return SIn(2, _den(b, i, env))
         case Case(s, x1, a1, x2, a2):
-            ts = typecheck.infer(env.ctx(), s)
             sv = _den(s, i, env)
             if sv.tag == 1:
-                return _den(a1, i, env.bind(x1, ts.left, sv.val))
-            return _den(a2, i, env.bind(x2, ts.right, sv.val))
-        case Lam(x, dom, b):
-            if dom is None:
-                raise DenotError("denotation needs elaborated (annotated) lambdas")
+                return _den(a1, i, env.bind(x1, sv.val))
+            return _den(a2, i, env.bind(x2, sv.val))
+        case Lam(x, _, b):
 
-            def fn(j, arg, _b=b, _x=x, _dom=dom, _env=env):
-                return _den(_b, j, _env.at_index(j).bind(_x, _dom, arg))
+            def fn(j, arg, _b=b, _x=x, _env=env):
+                return _den(_b, j, _env.at_index(j).bind(_x, arg))
 
             return SFun(fn, i)
         case App(f, a):
@@ -430,11 +403,7 @@ def _subst_env(sig, i, new_index, env):
     also valid at any other stage (identity transport).  Returns the
     items dict, or a fresh SemEnv when new_index is given.
     """
-    ctx = env.ctx()
-    items = {}
-    for x, u in sig:
-        tu = typecheck.infer(ctx, u)
-        items[x] = (tu, _den(u, i, env))
+    items = {x: _den(u, i, env) for x, u in sig}
     if new_index is None:
         return items
     return SemEnv(new_index, items)
@@ -503,7 +472,7 @@ def sem_eq(a: Type, i: int, v: SemVal, w: SemVal) -> bool:
         case Box(b):
             return all(sem_eq(b, j, v.at(j), w.at(j)) for j in range(1, max(i, 2) + 1))
         case Mu(_, _):
-            return sem_eq(_mu_unfold(a), i, v, w)
+            return sem_eq(typecheck._mu_unfold(a), i, v, w)
         case Arrow(_, _):
             raise ValueError("semantic equality undefined at function types")
         case Void() | TVar(_):

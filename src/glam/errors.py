@@ -73,6 +73,12 @@ class StuckError(MachineError):
     code = "Stuck"
 
 
+class NestingTooDeep(GlamError):
+    """The input is nested deeper than the Python stack allows."""
+
+    code = "NestingTooDeep"
+
+
 class DenotError(GlamError):
     code = "DenotError"
 

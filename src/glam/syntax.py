@@ -579,6 +579,9 @@ def _annot_eq(a, b) -> bool:
 
 
 def _aeq(t, u, envt, envu, ctr) -> bool:
+    # the same node under the same renaming, or a closed node, equals itself
+    if t is u and (envt == envu or not free_vars(t)):
+        return True
     if t.__class__ is not u.__class__:
         return False
     match t:

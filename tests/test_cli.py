@@ -1,8 +1,12 @@
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import glam
 from glam.cli import main, run_repl
 from glam.prelude import PRELUDE_PATH
 
@@ -14,6 +18,27 @@ def test_check_prelude(capsys):
     out = capsys.readouterr().out
     assert "toggle : mu a. Nat * |>a" in out
     assert "pred : #(mu a. Unit + |>a) -> Unit + #(mu a. Unit + |>a)" in out
+
+
+def test_module_entry_point(capsys):
+    # python -m glam.cli runs the same CLI as main()
+    src = str(Path(glam.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "glam.cli", "check", str(PRELUDE_PATH)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert main(["check", str(PRELUDE_PATH)]) == 0
+    assert proc.returncode == 0
+    assert proc.stdout == capsys.readouterr().out
+
+
+def test_deep_nesting_is_one_line_error(capsys, tmp_path):
+    path = tmp_path / "deep.gl"
+    path.write_text("def deep : Nat = " + "(" * 30_000 + "0" + ")" * 30_000 + ";")
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("NestingTooDeep: ") and err.count("\n") == 1
 
 
 def test_take_toggle(capsys):

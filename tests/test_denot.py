@@ -12,17 +12,25 @@ from glam.denot import (
     den_take,
     den_term,
     restrict,
-    restrict_to,
     sem_eq,
 )
 from glam.errors import DepthExceeded, IndexZero, TypingError
 from glam.machine import observe_nat, take_stream, trace
-from glam.syntax import NAT, STREAM_G, Box, Later, Prod, numeral
+from glam import typecheck
+from glam.frontend import parse_program
+from glam.prelude import PRELUDE_PATH
+from glam.syntax import NAT, STREAM_G, Arrow, Box, Later, Prod, Unbox, numeral
 from glam.typecheck import elaborate
 
 
 def _t(src):
     return corpus.term(src)
+
+
+def _elab_stream(t):
+    """t elaborated, and unboxed if it is a #-ed stream."""
+    t, ty = elaborate({}, t)
+    return Unbox(t) if isinstance(ty, Box) else t
 
 
 def _stream_val(*heads):
@@ -38,22 +46,22 @@ def _stream_val(*heads):
 
 
 def test_restrict_nat_identity():
-    assert restrict(NAT, 3, SNat(7)) == SNat(7)
+    assert restrict(SNat(7), 3) == SNat(7)
 
 
 def test_restrict_stream_drops_last_stage():
     v2 = _stream_val(0, 0)  # stage 2 approximation (0, (0, *))
-    v1 = restrict(STREAM_G, 1, v2)
+    v1 = restrict(v2, 1)
     assert v1 == SPair(SNat(0), SLATERSTAR)
 
 
 def test_restrict_later_to_stage_one():
-    assert restrict(Later(NAT), 1, SLater(SNat(5))) is SLATERSTAR
+    assert restrict(SLater(SNat(5)), 1) is SLATERSTAR
 
 
 def test_restrict_stage_zero_rejected():
     with pytest.raises(IndexZero):
-        restrict(NAT, 0, SNat(1))
+        restrict(SNat(1), 0)
     with pytest.raises(IndexZero):
         den_nat(numeral(1), 0)
 
@@ -165,19 +173,23 @@ def test_stream_agreement_spot():
 
 
 def test_restriction_naturality():
-    for src in ("zeros", "toggle", "paperfolds", "interleave toggle (next paperfolds)"):
-        t = _t(src)
-        for i in (1, 2, 3):
-            hi = den_term({}, t, STREAM_G, i + 1)
-            lo = den_term({}, t, STREAM_G, i)
-            assert sem_eq(STREAM_G, i, restrict(STREAM_G, i, hi), lo), (src, i)
+    # restricting the stage-i denotation to any j <= i gives the stage-j one
+    for name, src, _ in corpus.STREAMS:
+        t = _elab_stream(_t(src))
+        den = {i: den_term({}, t, STREAM_G, i, elaborated=True) for i in range(1, 7)}
+        for i in range(1, 7):
+            for j in range(1, i + 1):
+                assert sem_eq(STREAM_G, j, restrict(den[i], j), den[j]), (name, i, j)
 
 
 def test_restrict_to_composes():
+    # restricting 4 -> 1 in one pass, or through 3 and 2, gives the stage-1 denotation
     t = _t("paperfolds")
     v = den_term({}, t, STREAM_G, 4)
-    lo = restrict_to(STREAM_G, 4, 1, v)
-    assert sem_eq(STREAM_G, 1, lo, den_term({}, t, STREAM_G, 1))
+    direct = restrict(v, 1)
+    stepped = restrict(restrict(restrict(v, 3), 2), 1)
+    assert sem_eq(STREAM_G, 1, direct, den_term({}, t, STREAM_G, 1))
+    assert sem_eq(STREAM_G, 1, stepped, direct)
 
 
 def test_den_substitution_lemma():
@@ -189,13 +201,49 @@ def test_den_substitution_lemma():
         ("addN x 3", NAT, "mulN 2 2", NAT),
         ("(x, x)", NAT, "7", Prod(NAT, NAT)),
         ("consg 1 (next (consg x (next zeros)))", NAT, "hdg paperfolds", STREAM_G),
+        # a function-typed entry, restricted under next
+        ("consg (x 0) (next (mapg x zeros))", Arrow(NAT, NAT), "\\n: Nat. addN n 2", STREAM_G),
     ]
     for src, bty, usrc, aty in cases:
         t = parse_term(src, env=corpus.ENV)
         u = _t(usrc)
-        for i in (1, 2, 3):
+        for i in (1, 2, 3, 4):
             uval = den_term({}, u, bty, i)
-            env = SemEnv(i, {"x": (bty, uval)})
+            env = SemEnv(i, {"x": uval})
             via_env = den_term({"x": bty}, t, aty, i, env=env)
             direct = den_term({}, subst(t, {"x": u}), aty, i)
             assert sem_eq(aty, i, via_env, direct), (src, i)
+
+
+# ---------------------------------------------------------------------------
+# Denotation needs no types
+
+
+def _heads(v, i):
+    out = []
+    for j in range(i, 0, -1):
+        out.append(v.left.n)
+        v = v.right.val if j > 1 else v.right
+    return out
+
+
+def test_denotation_infers_no_types(monkeypatch):
+    # Fresh prelude nodes, so that no closed-subterm memo filled by an
+    # earlier test answers for them.
+    fresh = parse_program(corpus._HELPERS_SRC, base=parse_program(PRELUDE_PATH.read_text()))
+    monkeypatch.setattr(corpus, "ENV", fresh.env())
+    streams = [(name, _elab_stream(corpus.term(src)), oracle) for name, src, oracle in corpus.STREAMS]
+    nats = [(name, elaborate({}, t, NAT)[0], want) for name, t, want in corpus.nat_corpus()]
+
+    def no_types(*args, **kwargs):
+        raise AssertionError("type checker called during denotation")
+
+    monkeypatch.setattr(typecheck, "infer", no_types)
+    monkeypatch.setattr(typecheck, "elaborate", no_types)
+    for name, t, oracle in streams:
+        for i in (1, 4):
+            v = den_term({}, t, STREAM_G, i, elaborated=True)
+            assert _heads(v, i) == [oracle(k) for k in range(i)], (name, i)
+    for name, t, want in nats:
+        for i in (1, 3):
+            assert den_term({}, t, NAT, i, elaborated=True).n == want, (name, i)

@@ -119,6 +119,15 @@ def test_alpha_eq_explicit_subst_binders():
     assert alpha_eq(a, b)
 
 
+def test_alpha_eq_shared_node_under_different_binders():
+    # one Var node shared by \x.\y.x and \y.\x.x: identity is not enough
+    x = Var("x")
+    a = Lam("x", None, Lam("y", None, x))
+    b = Lam("y", None, Lam("x", None, x))
+    assert not alpha_eq(a, b)
+    assert alpha_eq(a, Lam("y", None, Lam("x", None, Var("y"))))
+
+
 def test_alpha_neq_different_free():
     assert not alpha_eq(Lam("x", None, Var("y")), Lam("x", None, Var("z")))
 
