@@ -12,8 +12,12 @@ arguments, and the tail of the result as a stream expression over:
 ``compile_bde`` turns a definition into a guarded stream function (a
 fixed point at (Strg)^k -> Strg, curried) together with its lifting to
 coinductive streams; ``oracle_eval`` runs the same definition as an
-ordinary corecursive computation on host-level lazy streams, which is
-the independent reference the compiled terms are tested against.
+ordinary corecursive computation on host-level streams, which is the
+independent reference the compiled terms are tested against.  The
+oracle memoizes, for one call, every stream it meets on a structural
+key: the equation name with each argument as (base stream, offset),
+or ("c", h) for the stream h, 0, 0, ...  So the convolution product
+costs O(n^2) elements, not O(2^n).
 
 File format (`.bde`)::
 
@@ -441,13 +445,6 @@ class HostStream:
             self._memo[i] = v
         return v
 
-    def tail(self) -> "HostStream":
-        return HostStream(lambda i: self(i + 1))
-
-
-def host_cons(h: int, s: HostStream) -> HostStream:
-    return HostStream(lambda i: h if i == 0 else s(i - 1))
-
 
 def host_zeros() -> HostStream:
     return HostStream(lambda i: 0)
@@ -473,34 +470,102 @@ def _eval_head(h, heads):
     return PRIMITIVES[h.op].op(_eval_head(h.left, heads), _eval_head(h.right, heads))
 
 
-def _oracle_stream(byname: dict, d: BdeDef, args) -> HostStream:
-    heads = [s(0) for s in args]
-    cell = []
-
-    def tail_stream():
-        if not cell:
-            env = {}
-            for i in range(d.arity):
-                env[("x", i + 1)] = host_cons(heads[i], host_zeros())
-                env[("y", i + 1)] = args[i]
-                env[("z", i + 1)] = args[i].tail()
-            cell.append(_eval_tail(d.tail, env, byname, d))
-        return cell[0]
-
-    def elem(i):
-        if i == 0:
-            return _eval_head(d.head, heads)
-        return tail_stream()(i - 1)
-
-    return HostStream(elem)
+# The oracle names every stream it meets by a structural key, so that
+# a stream met again is computed once (a lazy memo function, Hughes,
+# FPCA 1985).  A key is
+#
+#   ("c", h)     the stream h, 0, 0, ...  (an argument head x_i, and zeros)
+#   (base, k)    base without its first k elements, where base is a
+#                HostStream argument or an application (name, args) of
+#                an equation to a tuple of keys.
+#
+# In Rutten's stream calculus (TCS 2003) the only distinct calls of
+# times are times(tail^a x, tail^b y) and times([c], tail^b y), so with
+# these keys times costs O(n^2) elements, not O(2^n).
 
 
-def _eval_tail(t, env, byname, d):
-    if isinstance(t, TailVar):
-        return env[(t.kind, t.i)]
-    target = d if t.name == d.name else byname[t.name]
-    streams = [_eval_tail(a, env, byname, d) for a in t.args]
-    return _oracle_stream(byname, target, streams)
+class _Pending(Exception):
+    """An element that another one needs first: args[0] is (key, i)."""
+
+
+class _Oracle:
+    """The memo tables of one ``oracle_eval`` call.
+
+    ``heads`` maps an application to its first element.  ``chains``
+    maps an application to the applications its tail, its tail's tail
+    and so on are, for as long as each of those is a whole
+    application; ``ends`` gives the key that follows the last one.
+    Element i of an application is the head of the i-th application on
+    its chain, so a walk down tails is a list index, not a recursion.
+    """
+
+    def __init__(self, byname: dict):
+        self.byname = byname
+        self.heads = {}
+        self.chains = {}
+        self.ends = {}
+
+    def element(self, key, i: int) -> int:
+        """Element i of the stream key.  Demands are kept on a list,
+        not the Python stack, so any n is fine."""
+        todo = [(key, i)]
+        while True:
+            try:
+                v = self._element(*todo[-1], known=False)
+            except _Pending as p:
+                todo.append(p.args[0])
+                continue
+            todo.pop()
+            if not todo:
+                return v
+
+    def _element(self, key, i: int, known: bool) -> int:
+        """Element i of key.  Elements of other keys come only from
+        the tables; with ``known`` set, so does this one.  A missing
+        one raises _Pending."""
+        demand = (key, i)
+        while True:
+            base, k = key
+            if base == "c":
+                return k if i == 0 else 0
+            if base.__class__ is HostStream:
+                return base(k + i)
+            i += k
+            chain = self.chains.get(base)
+            if chain is None:
+                chain = self.chains[base] = [base]
+            while len(chain) <= i and base not in self.ends:
+                if known:
+                    raise _Pending(demand)
+                name, args = chain[-1]
+                tail = self._key(self.byname[name].tail, args)
+                if tail[1] == 0 and tail[0].__class__ is tuple:
+                    chain.append(tail[0])
+                else:
+                    self.ends[base] = tail
+            if i >= len(chain):
+                key, i = self.ends[base], i - len(chain)
+                continue
+            app = chain[i]
+            h = self.heads.get(app)
+            if h is None:
+                if known:
+                    raise _Pending(demand)
+                name, args = app
+                firsts = [self._element(a, 0, known=True) for a in args]
+                h = self.heads[app] = _eval_head(self.byname[name].head, firsts)
+            return h
+
+    def _key(self, t, args):
+        """The key of the tail expression t over the argument keys."""
+        if isinstance(t, TailVar):
+            a = args[t.i - 1]
+            if t.kind == "y":
+                return a
+            if t.kind == "z":
+                return ("c", 0) if a[0] == "c" else (a[0], a[1] + 1)
+            return ("c", self._element(a, 0, known=True))
+        return ((t.name, tuple(self._key(u, args) for u in t.args)), 0)
 
 
 def oracle_eval(defs, name: str, args, n: int):
@@ -512,5 +577,6 @@ def oracle_eval(defs, name: str, args, n: int):
     d = byname[name]
     if len(args) != d.arity:
         raise BdeError(f"{name!r} has arity {d.arity}, given {len(args)} streams")
-    s = _oracle_stream(byname, d, list(args))
-    return [s(i) for i in range(n)]
+    oracle = _Oracle(byname)
+    key = ((name, tuple((a, 0) for a in args)), 0)
+    return [oracle.element(key, i) for i in range(n)]

@@ -153,7 +153,12 @@ class SFun(SemVal):
 
 
 class SGlobal(SemVal):
-    """A global element of a #-type: a memoized family j -> value at j."""
+    """A global element of a #-type: a memoized family j -> value at j.
+
+    Each memo entry records how deep its computation recursed, and a
+    hit counts that depth against the running ``depth_limit``, as
+    ``_den``'s closed-subterm memo does.
+    """
 
     __slots__ = ("fn", "_memo")
 
@@ -162,10 +167,20 @@ class SGlobal(SemVal):
         self._memo = {}
 
     def at(self, j: int) -> SemVal:
-        v = self._memo.get(j)
-        if v is None:
+        st = _SESSION.get()
+        hit = self._memo.get(j)
+        if hit is not None:
+            v, reach = hit
+            _charge(st, st.depth + reach)
+            return v
+        outer_peak = st.peak
+        st.peak = st.depth
+        try:
             v = self.fn(j)
-            self._memo[j] = v
+            self._memo[j] = (v, st.peak - st.depth)
+        finally:
+            if outer_peak > st.peak:
+                st.peak = outer_peak
         return v
 
 
@@ -235,6 +250,15 @@ class _Sess:
 _SESSION: ContextVar[_Sess] = ContextVar("denot_session", default=_Sess(DEFAULT_DEPTH))
 
 
+def _charge(st: _Sess, level: int) -> None:
+    """Count a memo hit whose computation reached ``level`` as if it
+    had been recomputed there."""
+    if level > st.limit:
+        raise DepthExceeded(f"denotation recursion deeper than {st.limit}")
+    if level > st.peak:
+        st.peak = level
+
+
 # ---------------------------------------------------------------------------
 # Term denotation
 
@@ -275,9 +299,9 @@ def _den(t: Term, i: int, env: SemEnv) -> SemVal:
     term share almost all of their closed subtrees.  Each entry also
     records how deep below the node its computation recursed, and a
     hit counts that depth against ``depth_limit`` as recomputing the
-    entry would.  (Box values keep their own per-stage memo, as before,
-    so one shared through this memo can make a warm evaluation
-    shallower than a cold one, never deeper.)
+    entry would.  Box values (``SGlobal``) charge their own per-stage
+    memo the same way, so a warm evaluation is exactly as deep as a
+    cold one.
     """
     st = _SESSION.get()
     depth = st.depth + 1
@@ -303,10 +327,7 @@ def _den(t: Term, i: int, env: SemEnv) -> SemVal:
     hit = memo.get(i)
     if hit is not None:
         v, reach = hit
-        if depth + reach > st.limit:
-            raise DepthExceeded(f"denotation recursion deeper than {st.limit}")
-        if depth + reach > st.peak:
-            st.peak = depth + reach
+        _charge(st, depth + reach)
         return v
     outer_peak = st.peak
     st.depth = st.peak = depth

@@ -17,11 +17,13 @@ Two evaluators share these reduction rules:
 * a call-by-need evaluator with environments and updatable thunks,
   which serves ``take_stream`` (and through it ``glam take``,
   ``glam bde-run`` and the REPL ``:take``).  It shares work: an
-  argument is evaluated at most once.  Its fuel counts the same rule
-  firings, so an observation needs no more fuel than on the
-  reference.  The paper's adequacy result makes the two agree on
-  every observation; tests/test_need.py checks both claims on the
-  stream corpus and the BDE suite.
+  argument is evaluated at most once, and within one ``take_stream``
+  a term met again with the same thunks for its free variables is
+  evaluated once (a lazy memo function).  Its fuel counts the same
+  rule firings, and a reused reduct fires none, so an observation
+  needs no more fuel than on the reference.  The paper's adequacy
+  result makes the two agree on every observation; tests/test_need.py
+  checks both claims on the stream corpus and the BDE suite.
 
 Redexes: projections of pairs, case-of-in, beta, unfold-of-fold,
 prev with a non-empty substitution, prev-of-next, next<*>next,
@@ -69,6 +71,7 @@ from .syntax import (
     Var,
     Zero,
     erase,
+    free_vars,
     numeral,
     numeral_value,
     subst,
@@ -417,10 +420,21 @@ def step_rd(t: Term):
 # evaluated in an environment mapping variables to thunks.  Arguments,
 # case payloads and explicit-substitution entries become thunks, and a
 # thunk is overwritten with its value the first time it is forced, so
-# every later use shares that value.  Nothing is substituted, no free
-# variables are computed and nothing is renamed.  The bodies of
-# prev/box/boxp see only the variables of their explicit substitution,
-# just as the reference machine's substitution never enters them.
+# every later use shares that value.  Nothing is substituted and
+# nothing is renamed.  The bodies of prev/box/boxp see only the
+# variables of their explicit substitution, just as the reference
+# machine's substitution never enters them.
+#
+# Lazy memo functions (Hughes, FPCA 1985): the thunks of arguments,
+# explicit-substitution entries, box bodies, next f <*> next a results
+# and beta reducts are hash-consed in a table keyed by the term node
+# and the thunks of its free variables (see _shared).  The calculus is
+# pure, so equal keys mean equal values.  The unrolling of fix then
+# ties into one shared closure, and a BDE call such as
+# times(tail^a x, tail^b y) is evaluated once, not once per path of
+# calls that reaches it.  The components of pair, fold, next and in
+# values stay plain thunks: keying them too would keep every stream
+# cell alive until take_stream returns.
 #
 # Values are Python ints for numerals and _Con cells for the other
 # value forms: a Pair holds two thunks, In1/In2/Fold/Next/BoxI one,
@@ -484,8 +498,29 @@ def _delay(t: Term, env: dict) -> _Thunk:
     return _Thunk(t, env)
 
 
-def _sig_env(sig, env: dict) -> dict:
-    return {x: _delay(u, env) for x, u in sig}
+def _shared(t: Term, env: dict, memo: dict) -> _Thunk:
+    """The thunk of t in env, one per t and thunks of t's free variables.
+
+    The value of t in env depends on nothing else, so a second such
+    thunk would compute the same value: it is the first one.
+    """
+    if t.__class__ is Var:
+        th = env.get(t.name)
+        if th is not None:
+            return th
+    try:
+        fv = t._fv
+    except AttributeError:
+        fv = free_vars(t)
+    key = (t, *map(env.get, fv))
+    th = memo.get(key)
+    if th is None:
+        th = memo[key] = _Thunk(t, env)
+    return th
+
+
+def _sig_env(sig, env: dict, memo: dict) -> dict:
+    return {x: _shared(u, env, memo) for x, u in sig}
 
 
 def _is_next(v) -> bool:
@@ -500,12 +535,13 @@ def _form(v) -> str:
     return "numeral" if v.__class__ is int else v.kind.__name__
 
 
-def _need(t: Term, env: dict, fuel: int, stack=None):
+def _need(t: Term, env: dict, fuel: int, memo: dict, stack=None):
     """Evaluate t in env to a value, firing at most ``fuel`` rules.
 
-    ``stack`` may hold initial frames to apply to the value.  A frame
-    is a triple (kind, x, y) whose kind is an eliminator's term class
-    or one of _UPDATE, _LATER_ARG and _PRIM_ARG.
+    ``memo`` is the table of shared thunks (see ``_shared``).  ``stack``
+    may hold initial frames to apply to the value.  A frame is a triple
+    (kind, x, y) whose kind is an eliminator's term class or one of
+    _UPDATE, _LATER_ARG and _PRIM_ARG.
     """
     stack = stack if stack is not None else []
     steps = 0
@@ -523,7 +559,7 @@ def _need(t: Term, env: dict, fuel: int, stack=None):
                 t, env = th.term, th.env
                 continue
         elif c is App:
-            stack.append((App, _delay(t.arg, env), None))
+            stack.append((App, _shared(t.arg, env, memo), None))
             t = t.fun
             continue
         elif c is Lam:
@@ -537,7 +573,7 @@ def _need(t: Term, env: dict, fuel: int, stack=None):
         elif c is UnitVal:
             v = _UNIT
         elif c is BoxI:
-            v = _Con(BoxI, _Thunk(t.body, _sig_env(t.subst, env)))
+            v = _Con(BoxI, _shared(t.body, _sig_env(t.subst, env, memo), memo))
         elif c is Succ or c is Proj1 or c is Proj2 or c is Unfold or c is Unbox:
             stack.append((c, None, None))
             t = t.body
@@ -552,7 +588,7 @@ def _need(t: Term, env: dict, fuel: int, stack=None):
                     raise FuelExhaustedError(f"no value after {steps} steps")
                 steps += 1
             stack.append((c, None, None))
-            env = _sig_env(t.subst, env)
+            env = _sig_env(t.subst, env, memo)
             t = t.body
             continue
         elif c is LaterApp:
@@ -611,14 +647,8 @@ def _need(t: Term, env: dict, fuel: int, stack=None):
                 v = PRIMITIVES[x.name].op(*vals)
                 continue
             if k is _LATER_ARG:
-                v = _Con(Next, _Thunk(_APPLY_FA, {"f": x.a, "a": v.a}))
+                v = _Con(Next, _shared(_APPLY_FA, {"f": x.a, "a": v.a}, memo))
                 continue
-            if k is App:
-                lam = v.a
-                env = v.b.copy()
-                env[lam.var] = x
-                t = lam.body
-                break
             if k is Case:
                 if v.kind is In1:
                     env = {**y, x.var1: v.a}
@@ -630,8 +660,16 @@ def _need(t: Term, env: dict, fuel: int, stack=None):
             if k is BoxSum:
                 v = _Con(v.kind, _Thunk(value=_Con(BoxI, v.a)))
                 continue
-            # Proj1, Proj2, Unfold, Prev, Unbox: force the component.
-            th = v.b if k is Proj2 else v.a
+            if k is App:
+                lam = v.a
+                env = v.b.copy()
+                env[lam.var] = x
+                t = lam.body
+                if t.__class__ in _VALUE_CLASSES:
+                    break  # a value form costs no step: nothing to share
+                th = _shared(t, env, memo)  # perhaps already forced
+            else:  # Proj1, Proj2, Unfold, Prev, Unbox: force the component
+                th = v.b if k is Proj2 else v.a
             v = th.value
             if v is None:
                 stack.append((_UPDATE, th, None))
@@ -697,21 +735,29 @@ def take_stream(t: Term, n: int, fuel: int = DEFAULT_FUEL):
     entry and stream cell is evaluated at most once and then shared.
     Adequacy makes the elements those of call-by-name evaluation.
 
+    One memo table serves all observations of this call and is dropped
+    when it returns.  It maps (term node, thunk of each free variable
+    of the node) to the one thunk for that term there, so a reduct met
+    again, say the same BDE call on the same stream tails, is not
+    evaluated again.
+
     ``fuel`` bounds the rule firings of each observation (the initial
     force, the unboxing, each head, each tail), as it bounds each
-    ``eval_term`` call.  Raises FuelExhaustedError or StuckError.
+    ``eval_term`` call; work an earlier observation did is not counted
+    again.  Raises FuelExhaustedError or StuckError.
     """
-    cur = _need(t, {}, fuel)
+    memo = {}
+    cur = _need(t, {}, fuel, memo)
     if cur.__class__ is _Con and cur.kind is BoxI:
-        cur = _need(_UNBOX_S, {"s": _Thunk(value=cur)}, fuel)
+        cur = _need(_UNBOX_S, {"s": _Thunk(value=cur)}, fuel, memo)
     out = []
     for _ in range(n):
         env = {"s": _Thunk(value=cur)}
-        head = _need(_HEAD_S, env, fuel)
+        head = _need(_HEAD_S, env, fuel, memo)
         if head.__class__ is not int:
             raise StuckError("stream head is not a numeral")
         out.append(head)
-        cur = _need(_TAIL_S, env, fuel, [(Prev, None, None)])
+        cur = _need(_TAIL_S, env, fuel, memo, [(Prev, None, None)])
     return out
 
 

@@ -1,11 +1,17 @@
+import itertools
+from math import comb
+from pathlib import Path
+
 import pytest
 
 import corpus
 from glam.bde import (
     HeadOp,
     HeadVar,
+    HostStream,
     TailCall,
     TailVar,
+    _eval_head,
     compile_bde,
     host_const,
     host_nats,
@@ -224,3 +230,136 @@ def test_modularity_uses_earlier_equation():
     # 'nats + one' needs plus, which is defined later: rejected
     with pytest.raises(ForwardReference):
         validate_bde(defs)
+
+
+# ---------------------------------------------------------------------------
+# The memoized oracle against the plain one, and both runners at large n
+
+PROGRAMS = Path(__file__).parent.parent / "programs"
+STREAMS_BDE = parse_bde((PROGRAMS / "streams.bde").read_text())
+RUTTEN_BDE = parse_bde((PROGRAMS / "rutten.bde").read_text())
+
+# The argument streams: a glam term, a host stream and a Python function.
+ARGS = {
+    "zeros": ("zeros", host_zeros, lambda i: 0),
+    "toggle": ("toggle", host_toggle, lambda i: 1 - i % 2),
+    "nats": ("iterate' (\\x. succ x) 0", host_nats, lambda i: i),
+}
+
+
+def _plain_oracle(defs, name, args, n):
+    """oracle_eval without its memo: every call of an equation builds a
+    new lazy stream, so times unfolds into a binary tree of calls and
+    costs about 2x per element.  The independent reference at small n."""
+    byname = {d.name: d for d in defs}
+
+    def tail(s):
+        return HostStream(lambda i: s(i + 1))
+
+    def cons(h, s):
+        return HostStream(lambda i: h if i == 0 else s(i - 1))
+
+    def stream(d, args):
+        heads = [s(0) for s in args]
+        cell = []
+
+        def tail_stream():
+            if not cell:
+                env = {}
+                for i in range(d.arity):
+                    env[("x", i + 1)] = cons(heads[i], host_zeros())
+                    env[("y", i + 1)] = args[i]
+                    env[("z", i + 1)] = tail(args[i])
+                cell.append(expr(d.tail, env, d))
+            return cell[0]
+
+        def elem(i):
+            if i == 0:
+                return _eval_head(d.head, heads)
+            return tail_stream()(i - 1)
+
+        return HostStream(elem)
+
+    def expr(t, env, d):
+        if isinstance(t, TailVar):
+            return env[(t.kind, t.i)]
+        target = d if t.name == d.name else byname[t.name]
+        return stream(target, [expr(a, env, d) for a in t.args])
+
+    s = stream(byname[name], list(args))
+    return [s(i) for i in range(n)]
+
+
+def _applied(defs, name, args):
+    t = compile_bde(defs, name).guarded
+    for a in args:
+        t = App(t, corpus.term(ARGS[a][0]))
+    return t
+
+
+def _hosts(args):
+    return [ARGS[a][1]() for a in args]
+
+
+def _convolution(s, t, n):
+    return [sum(s(k) * t(i - k) for k in range(i + 1)) for i in range(n)]
+
+
+def test_memoized_oracle_matches_plain_oracle():
+    for d in STREAMS_BDE:
+        for args in itertools.product(ARGS, repeat=d.arity):
+            want = _plain_oracle(STREAMS_BDE, d.name, _hosts(args), 10)
+            for n in range(1, 11):
+                got = oracle_eval(STREAMS_BDE, d.name, _hosts(args), n)
+                assert got == want[:n], (d.name, args, n)
+
+
+# A per-observation fuel between what sharing needs and what a tree of
+# calls needs.  With the memo tables, the costliest pair (nats, nats)
+# needs 4 792 rule firings for one observation at n = 20.  Unfolding
+# times into a binary tree of calls needs 4 011 for the eighth element
+# and 16 107 for the tenth, so such an evaluator runs out of fuel by the
+# tenth element, in well under a second, and does not hang the test.
+POLY_FUEL = 10_000
+
+
+@pytest.mark.parametrize("args", list(itertools.product(ARGS, repeat=2)))
+def test_times_is_polynomial(args):
+    want = _convolution(ARGS[args[0]][2], ARGS[args[1]][2], 20)
+    assert take_stream(_applied(STREAMS_BDE, "times", args), 20, fuel=POLY_FUEL) == want
+    assert oracle_eval(STREAMS_BDE, "times", _hosts(args), 20) == want
+
+
+def test_times_at_large_n():
+    # both runners walk stream tails on lists, not the Python stack
+    want = _convolution(ARGS["toggle"][2], ARGS["toggle"][2], 200)
+    assert oracle_eval(STREAMS_BDE, "times", _hosts(("toggle", "toggle")), 200) == want
+    assert take_stream(_applied(STREAMS_BDE, "times", ("toggle", "toggle")), 200) == want
+
+
+# ---------------------------------------------------------------------------
+# Rutten's products and nats, against closed forms
+
+
+def _rutten_agrees(name, args, n, want):
+    assert take_stream(_applied(RUTTEN_BDE, name, args), n) == want, (name, args)
+    assert oracle_eval(RUTTEN_BDE, name, _hosts(args), n) == want, (name, args)
+
+
+@pytest.mark.parametrize("args", list(itertools.product(ARGS, repeat=2)))
+def test_rutten_shuffle_product(args):
+    s, t = ARGS[args[0]][2], ARGS[args[1]][2]
+    n = 10
+    want = [sum(comb(i, k) * s(k) * t(i - k) for k in range(i + 1)) for i in range(n)]
+    _rutten_agrees("shuffle", args, n, want)
+
+
+@pytest.mark.parametrize("args", list(itertools.product(ARGS, repeat=2)))
+def test_rutten_hadamard_product(args):
+    s, t = ARGS[args[0]][2], ARGS[args[1]][2]
+    _rutten_agrees("hadamard", args, 12, [s(i) * t(i) for i in range(12)])
+
+
+def test_rutten_nats_over_ones():
+    _rutten_agrees("ones", (), 12, [1] * 12)
+    _rutten_agrees("nats", (), 12, list(range(12)))

@@ -143,6 +143,14 @@ def test_depth_guard_counts_memoized_subterms():
         den_nat(t, 3, depth_limit=10, elaborated=True)
 
 
+def test_depth_guard_counts_memoized_box_values():
+    # rows is a box whose per-stage memo is shared through the prelude's
+    # nodes; a query after a deep one must be as deep as a cold one
+    assert den_take(_t("diag rows"), 2) == [0, 2]
+    with pytest.raises(DepthExceeded):
+        den_take(_t("diag rows"), 2, depth_limit=20)
+
+
 # ---------------------------------------------------------------------------
 # Agreement with the machine
 
