@@ -30,6 +30,17 @@ injections restrict their parts, a later value drops a stage, a
 function lowers its ceiling, and every other value is the same at
 every stage.  Evaluation therefore needs no types; ``den_term``
 type-checks its input once on entry.
+
+The restriction maps belong to the presheaf, and only an observation
+has to apply them.  So ``restrict`` costs O(1): a pair, injection or
+later value becomes a shell of its own class that restricts each
+component when it is first read.  Moving an environment down a stage
+(``SemEnv.at_index``) thus copies no stream value, which has i cells
+at stage i.
+
+Each term class has one hand-written rule in ``_RULES``; ``_den``
+looks it up by class, after its depth accounting and closed-subterm
+memo.
 """
 
 from __future__ import annotations
@@ -95,6 +106,31 @@ class SemVal:
     __slots__ = ()
 
 
+class _Cut(SemVal):
+    """Pair, injection and later values, whose restriction is a shell.
+
+    A shell made by ``restrict`` holds its source (``_src``) and stage
+    cut (``_cut``) in place of the components named in ``_LAZY``.  A
+    component is restricted when first read, then cached as an ordinary
+    attribute; once all are read, the shell drops its source.
+    """
+
+    __slots__ = ()
+    _LAZY = {}  # component -> how many stages below the cut it lives
+
+    def __getattr__(self, name):
+        d = self.__dict__
+        try:
+            src = d["_src"]
+            shift = self._LAZY[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        w = d[name] = restrict(getattr(src, name), d["_cut"] - shift)
+        if d.keys() >= self._LAZY.keys():
+            del d["_src"], d["_cut"]
+        return w
+
+
 @dataclass(frozen=True)
 class SNat(SemVal):
     n: int
@@ -109,15 +145,17 @@ SUNIT = SUnit()
 
 
 @dataclass(frozen=True)
-class SPair(SemVal):
+class SPair(_Cut):
     left: SemVal
     right: SemVal
+    _LAZY = {"left": 0, "right": 0}
 
 
 @dataclass(frozen=True)
-class SIn(SemVal):
+class SIn(_Cut):
     tag: int  # 1 or 2
     val: SemVal
+    _LAZY = {"val": 0}
 
 
 @dataclass(frozen=True)
@@ -129,8 +167,9 @@ SLATERSTAR = SLaterStar()
 
 
 @dataclass(frozen=True)
-class SLater(SemVal):
+class SLater(_Cut):
     val: SemVal  # at one stage lower
+    _LAZY = {"val": 1}
 
 
 class SFun(SemVal):
@@ -189,20 +228,36 @@ class SGlobal(SemVal):
 
 
 def restrict(v: SemVal, j: int) -> SemVal:
-    """Restrict v from its own stage down to stage j, by v's shape."""
+    """Restrict v from its own stage down to stage j, by v's shape, in
+    O(1) whatever v's stage or depth.
+
+    A function lowers its ceiling to j.  A pair, injection or later
+    value (other than a later value cut to stage 1, which is the star)
+    becomes a shell of its own class over v with cut j, whose
+    components are restricted when first read (``_Cut``).  Restricting
+    a shell again cuts its source once more, since restricting to j and
+    then to k is restricting to min(j, k).  Every other value is the
+    same at every stage.
+    """
     if j < 1:
         raise IndexZero(f"restriction to stage {j}")
-    match v:
-        case SPair(l, r):
-            return SPair(restrict(l, j), restrict(r, j))
-        case SIn(tag, b):
-            return SIn(tag, restrict(b, j))
-        case SLater(b):
-            return SLATERSTAR if j == 1 else SLater(restrict(b, j - 1))
-        case SFun():
-            return SFun(v.fn, min(v.ceiling, j))
-        case _:
+    cls = v.__class__
+    if cls is SFun:
+        return SFun(v.fn, min(v.ceiling, j))
+    if not isinstance(v, _Cut):
+        return v
+    if cls is SLater and j == 1:
+        return SLATERSTAR
+    d = v.__dict__
+    if "_src" in d:
+        if d["_cut"] <= j:
             return v
+        v = d["_src"]
+    w = object.__new__(cls)
+    w.__dict__.update(_src=v, _cut=j)
+    if cls is SIn:
+        w.__dict__["tag"] = v.tag
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +265,11 @@ def restrict(v: SemVal, j: int) -> SemVal:
 
 
 class SemEnv:
-    """Variable environment at a fixed stage: name -> value."""
+    """Variable environment at a fixed stage: name -> value.
+
+    ``at_index(j)`` is the environment restricted to stage j <= index;
+    it costs O(1) per entry, since ``restrict`` copies no value.
+    """
 
     __slots__ = ("index", "items")
 
@@ -303,6 +362,10 @@ def _den(t: Term, i: int, env: SemEnv) -> SemVal:
     memo the same way, so a warm evaluation is exactly as deep as a
     cold one.
     """
+    try:
+        rule = _RULES[t.__class__]
+    except KeyError:
+        raise TypeError(f"not a term: {t!r}") from None
     st = _SESSION.get()
     depth = st.depth + 1
     if depth > st.limit:
@@ -316,7 +379,7 @@ def _den(t: Term, i: int, env: SemEnv) -> SemVal:
             st.peak = depth
         st.depth = depth
         try:
-            return _den1(t, i, env)
+            return rule(t, i, env)
         finally:
             st.depth = depth - 1
     try:
@@ -332,7 +395,7 @@ def _den(t: Term, i: int, env: SemEnv) -> SemVal:
     outer_peak = st.peak
     st.depth = st.peak = depth
     try:
-        v = _den1(t, i, SemEnv(i))
+        v = rule(t, i, SemEnv(i))
         memo[i] = (v, st.peak - depth)
     finally:
         st.depth = depth - 1
@@ -341,80 +404,95 @@ def _den(t: Term, i: int, env: SemEnv) -> SemVal:
     return v
 
 
-def _den1(t: Term, i: int, env: SemEnv) -> SemVal:
-    match t:
-        case Var(x):
-            return env.items[x]
-        case Zero():
-            return SNat(0)
-        case Succ(b):
-            return SNat(_den(b, i, env).n + 1)
-        case UnitVal():
-            return SUNIT
-        case Pair(l, r):
-            return SPair(_den(l, i, env), _den(r, i, env))
-        case Proj1(b):
-            return _den(b, i, env).left
-        case Proj2(b):
-            return _den(b, i, env).right
-        case Abort(_, _):
-            raise DenotError("abort evaluated: the empty type has no elements")
-        case In1(_, b):
-            return SIn(1, _den(b, i, env))
-        case In2(_, b):
-            return SIn(2, _den(b, i, env))
-        case Case(s, x1, a1, x2, a2):
-            sv = _den(s, i, env)
-            if sv.tag == 1:
-                return _den(a1, i, env.bind(x1, sv.val))
-            return _den(a2, i, env.bind(x2, sv.val))
-        case Lam(x, _, b):
+# ---------------------------------------------------------------------------
+# The denotation rules, one per term class: rule(t, i, env) is the
+# denotation of t at stage i.  Subterms go through _den.
 
-            def fn(j, arg, _b=b, _x=x, _env=env):
-                return _den(_b, j, _env.at_index(j).bind(_x, arg))
 
-            return SFun(fn, i)
-        case App(f, a):
-            fv = _den(f, i, env)
-            return fv.call(i, _den(a, i, env))
-        case Fold(_, b):
-            return _den(b, i, env)
-        case Unfold(b):
-            return _den(b, i, env)
-        case Next(b):
-            if i == 1:
-                return SLATERSTAR
-            return SLater(_den(b, i - 1, env.at_index(i - 1)))
-        case LaterApp(f, a):
-            if i == 1:
-                return SLATERSTAR
-            fv = _den(f, i, env)
-            av = _den(a, i, env)
-            return SLater(fv.val.call(i - 1, av.val))
-        case Prev(sig, b):
-            inner = _den(b, i + 1, _subst_env(sig, i, i + 1, env))
-            return inner.val  # i+1 >= 2, so never the stage-1 star
-        case BoxI(sig, b):
-            vals = _subst_env(sig, i, None, env)
+def _body(t, i, env):
+    # fold, unfold and ascription denote identities
+    return _den(t.body, i, env)
 
-            def fam(j, _b=b, _vals=vals):
-                return _den(_b, j, SemEnv(j, _vals))
 
-            return SGlobal(fam)
-        case Unbox(b):
-            return _den(b, i, env).at(i)
-        case BoxSum(sig, b):
-            vals = _subst_env(sig, i, None, env)
-            g = SGlobal(lambda j, _b=b, _vals=vals: _den(_b, j, SemEnv(j, _vals)))
-            tag = g.at(1).tag  # the tag is stage-independent by naturality
-            return SIn(tag, SGlobal(lambda j, _g=g: _g.at(j).val))
-        case Prim(name, args):
-            vals = [_den(a, i, env).n for a in args]
-            return SNat(PRIMITIVES[name].op(*vals))
-        case Ascribe(b, _):
-            return _den(b, i, env)
-        case _:
-            raise TypeError(f"not a term: {t!r}")
+def _abort(t, i, env):
+    raise DenotError("abort evaluated: the empty type has no elements")
+
+
+def _case(t, i, env):
+    sv = _den(t.scrut, i, env)
+    if sv.tag == 1:
+        return _den(t.arm1, i, env.bind(t.var1, sv.val))
+    return _den(t.arm2, i, env.bind(t.var2, sv.val))
+
+
+def _lam(t, i, env):
+    x, b = t.var, t.body
+
+    def fn(j, arg):
+        return _den(b, j, env.at_index(j).bind(x, arg))
+
+    return SFun(fn, i)
+
+
+def _next(t, i, env):
+    if i == 1:
+        return SLATERSTAR
+    return SLater(_den(t.body, i - 1, env.at_index(i - 1)))
+
+
+def _later_app(t, i, env):
+    if i == 1:
+        return SLATERSTAR
+    fv = _den(t.fun, i, env)
+    av = _den(t.arg, i, env)
+    return SLater(fv.val.call(i - 1, av.val))
+
+
+def _prev(t, i, env):
+    inner = _den(t.body, i + 1, _subst_env(t.subst, i, i + 1, env))
+    return inner.val  # i+1 >= 2, so never the stage-1 star
+
+
+def _box(t, i, env):
+    b, vals = t.body, _subst_env(t.subst, i, None, env)
+    return SGlobal(lambda j: _den(b, j, SemEnv(j, vals)))
+
+
+def _box_sum(t, i, env):
+    g = _box(t, i, env)
+    tag = g.at(1).tag  # the tag is stage-independent by naturality
+    return SIn(tag, SGlobal(lambda j: g.at(j).val))
+
+
+def _prim(t, i, env):
+    return SNat(PRIMITIVES[t.name].op(*[_den(a, i, env).n for a in t.args]))
+
+
+_RULES = {
+    Var: lambda t, i, env: env.items[t.name],
+    Zero: lambda t, i, env: SNat(0),
+    Succ: lambda t, i, env: SNat(_den(t.body, i, env).n + 1),
+    UnitVal: lambda t, i, env: SUNIT,
+    Pair: lambda t, i, env: SPair(_den(t.left, i, env), _den(t.right, i, env)),
+    Proj1: lambda t, i, env: _den(t.body, i, env).left,
+    Proj2: lambda t, i, env: _den(t.body, i, env).right,
+    Abort: _abort,
+    In1: lambda t, i, env: SIn(1, _den(t.body, i, env)),
+    In2: lambda t, i, env: SIn(2, _den(t.body, i, env)),
+    Case: _case,
+    Lam: _lam,
+    App: lambda t, i, env: _den(t.fun, i, env).call(i, _den(t.arg, i, env)),
+    Fold: _body,
+    Unfold: _body,
+    Next: _next,
+    LaterApp: _later_app,
+    Prev: _prev,
+    BoxI: _box,
+    Unbox: lambda t, i, env: _den(t.body, i, env).at(i),
+    BoxSum: _box_sum,
+    Prim: _prim,
+    Ascribe: _body,
+}
 
 
 def _subst_env(sig, i, new_index, env):

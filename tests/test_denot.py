@@ -1,10 +1,13 @@
 import pytest
 
 import corpus
+from glam import denot
 from glam.denot import (
     SLATERSTAR,
     SemEnv,
+    SFun,
     SGlobal,
+    SIn,
     SLater,
     SNat,
     SPair,
@@ -43,6 +46,79 @@ def _stream_val(*heads):
 
 # ---------------------------------------------------------------------------
 # Restriction
+
+
+def _eager_restrict(v, j):
+    """The reference restriction: copies v's whole shape down to stage j."""
+    if j < 1:
+        raise IndexZero(f"restriction to stage {j}")
+    match v:
+        case SPair(l, r):
+            return SPair(_eager_restrict(l, j), _eager_restrict(r, j))
+        case SIn(tag, b):
+            return SIn(tag, _eager_restrict(b, j))
+        case SLater(b):
+            return SLATERSTAR if j == 1 else SLater(_eager_restrict(b, j - 1))
+        case SFun():
+            return SFun(v.fn, min(v.ceiling, j))
+        case _:
+            return v
+
+
+def test_restrict_matches_eager_reference():
+    for name, src, _ in corpus.STREAMS:
+        t = _elab_stream(_t(src))
+        for i in range(1, 25):
+            v = den_term({}, t, STREAM_G, i, elaborated=True)
+            for j in range(1, i + 1):
+                assert restrict(v, j) == _eager_restrict(v, j), (name, i, j)
+            # chains of two and three restrictions, in any order
+            some = sorted({1, 2, i // 2 or 1, i - 1 or 1, i})
+            for j in some:
+                w = restrict(v, j)
+                for k in some:
+                    want = _eager_restrict(_eager_restrict(v, j), k)
+                    assert restrict(restrict(v, j), k) == want, (name, i, j, k)
+                    # w is unread at the first k, and a plain value after it
+                    assert restrict(w, k) == want, (name, i, j, k)
+                    if i % 6 == 0:
+                        for m in some:
+                            want3 = _eager_restrict(want, m)
+                            got3 = restrict(restrict(restrict(v, j), k), m)
+                            assert got3 == want3, (name, i, j, k, m)
+
+
+def test_restrict_function_entry_under_next(monkeypatch):
+    # next restricts the environment, here a function-typed entry
+    from glam.frontend import parse_term
+
+    src = "consg (x 0) (next (mapg x zeros))"
+    t = elaborate({"x": Arrow(NAT, NAT)}, parse_term(src, env=corpus.ENV), STREAM_G)[0]
+    u = _t("\\n: Nat. addN n 2")
+    for i in range(1, 9):
+        env = SemEnv(i, {"x": den_term({}, u, Arrow(NAT, NAT), i)})
+        for j in range(1, i + 1):
+            got, want = restrict(env.items["x"], j), _eager_restrict(env.items["x"], j)
+            assert (got.fn, got.ceiling) == (want.fn, want.ceiling)
+        lazy = den_term({"x": Arrow(NAT, NAT)}, t, STREAM_G, i, env=env, elaborated=True)
+        with monkeypatch.context() as m:
+            m.setattr(denot, "restrict", _eager_restrict)
+            eager = den_term({"x": Arrow(NAT, NAT)}, t, STREAM_G, i, env=env, elaborated=True)
+        assert lazy == eager == _stream_val(*[2] * i), i
+
+
+def test_restrict_deep_value():
+    # restriction and reading never recurse on the value's depth
+    v = _stream_val(*range(200_000))
+    heads = []
+    try:
+        w = restrict(v, 199_999)
+        for _ in range(3):
+            heads.append(w.left.n)
+            w = w.right.val
+    except RecursionError:
+        pass  # failed below: reporting a traceback 10^5 frames deep takes minutes
+    assert heads == [0, 1, 2], "restriction recursed on the depth of the value"
 
 
 def test_restrict_nat_identity():

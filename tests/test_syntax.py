@@ -1,8 +1,10 @@
 import dataclasses
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import assume, given, settings
 
+from glam import denot
 from glam.syntax import (
     NAT,
     SHAPES,
@@ -171,6 +173,12 @@ def test_every_term_class_has_a_shape():
     for c in classes:
         fields = [f.name for f in dataclasses.fields(c) if f.name != "loc"]
         assert [name for name, _ in SHAPES[c]] == fields, c.__name__
+
+
+def test_every_term_class_has_a_denotation_rule():
+    assert set(denot._RULES) == set(Term.__subclasses__())
+    with pytest.raises(TypeError, match="not a term: 5"):
+        denot.den_term({}, 5, NAT, 1, elaborated=True)
 
 
 # ---------------------------------------------------------------------------
