@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from .errors import BadVariable, BdeError, ForwardReference, ParseError, UnknownSymbol
-from .frontend import fix_term, tokenize
+from .frontend import TokenCursor, fix_term, nesting_guard, tokenize
 from .prelude import load_prelude
 from .syntax import (
     PRIMITIVES,
@@ -107,41 +107,21 @@ _VARISH_RE = re.compile(r"^([a-z])([0-9]+)$")
 # Parsing
 
 
-class _BdeParser:
-    def __init__(self, toks):
-        self.toks = toks
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def advance(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, kind, value=None):
-        t = self.peek()
-        if t.kind != kind or (value is not None and t.value != value):
-            raise ParseError(
-                f"expected {value or kind!r}, found {t.value or t.kind!r}", t.loc
-            )
-        return self.advance()
-
+class _BdeParser(TokenCursor):
     def ident(self, value=None):
         return self.expect("ident", value)
 
     def p_file(self):
         defs = []
-        while self.peek().kind != "eof":
+        while not self.at("eof"):
             defs.append(self.p_def())
         return defs
 
     def p_def(self):
         self.ident("bde")
-        name = self.ident().value
+        name = self.ident()[1]
         self.expect("(")
-        arity = int(self.expect("num").value)
+        arity = int(self.expect("num")[1])
         self.expect(")")
         self.expect("{")
         self.ident("head")
@@ -159,75 +139,69 @@ class _BdeParser:
 
     def p_hsum(self):
         left = self.p_hprod()
-        while self.peek().kind == "+":
-            self.advance()
+        while self.at("+"):
+            self.i += 1
             left = HeadOp("addN", left, self.p_hprod())
         return left
 
     def p_hprod(self):
         left = self.p_hatom()
-        while self.peek().kind == "*":
-            self.advance()
+        while self.at("*"):
+            self.i += 1
             left = HeadOp("mulN", left, self.p_hatom())
         return left
 
     def p_hatom(self):
-        t = self.peek()
-        if t.kind == "num":
-            self.advance()
-            return HeadNum(int(t.value))
-        if t.kind == "ident":
-            self.advance()
-            return HeadVar(t.value)
-        if t.kind == "(":
-            self.advance()
+        kind, value, line, col = self.advance()
+        if kind == "num":
+            return HeadNum(int(value))
+        if kind == "ident":
+            return HeadVar(value)
+        if kind == "(":
             out = self.p_hsum()
             self.expect(")")
             return out
-        raise ParseError(f"expected a head term, found {t.value or t.kind!r}", t.loc)
+        raise ParseError(f"expected a head term, found {value or kind!r}", (line, col))
 
     # tails: + / * are the earlier stream equations plus / times
 
     def p_tsum(self):
         left = self.p_tprod()
-        while self.peek().kind == "+":
-            self.advance()
+        while self.at("+"):
+            self.i += 1
             left = TailCall("plus", (left, self.p_tprod()))
         return left
 
     def p_tprod(self):
         left = self.p_tatom()
-        while self.peek().kind == "*":
-            self.advance()
+        while self.at("*"):
+            self.i += 1
             left = TailCall("times", (left, self.p_tatom()))
         return left
 
     def p_tatom(self):
-        t = self.peek()
-        if t.kind == "ident":
-            self.advance()
-            m = _VAR_RE.match(t.value)
-            if m and self.peek().kind != "(":
-                return TailVar(m.group(1), int(m.group(2)))
-            if self.peek().kind == "(":
-                self.advance()
-                args = []
-                if self.peek().kind != ")":
+        kind, value, line, col = self.advance()
+        if kind == "ident":
+            if not self.at("("):
+                m = _VAR_RE.match(value)
+                return TailVar(m.group(1), int(m.group(2))) if m else TailCall(value, ())
+            self.i += 1
+            args = []
+            if not self.at(")"):
+                args.append(self.p_tsum())
+                while self.at(","):
+                    self.i += 1
                     args.append(self.p_tsum())
-                    while self.peek().kind == ",":
-                        self.advance()
-                        args.append(self.p_tsum())
-                self.expect(")")
-                return TailCall(t.value, tuple(args))
-            return TailCall(t.value, ())
-        if t.kind == "(":
-            self.advance()
+            self.expect(")")
+            return TailCall(value, tuple(args))
+        if kind == "(":
             out = self.p_tsum()
             self.expect(")")
             return out
-        raise ParseError(f"expected a tail term, found {t.value or t.kind!r}", t.loc)
+        raise ParseError(f"expected a tail term, found {value or kind!r}", (line, col))
 
 
+@nesting_guard
 def parse_bde(text: str):
     """Parse a .bde file into definitions (unvalidated)."""
     defs = _BdeParser(tokenize(text)).p_file()

@@ -1,5 +1,18 @@
 """Concrete syntax: lexer, parser, and pretty-printer.
 
+The lexer (``tokenize``) is one compiled regular expression matched
+once per token.  A token is a plain tuple ``(kind, value, line, col)``;
+the kind of a keyword or symbol is its own text, other words are
+``ident`` and numerals ``num``.  Identifiers start with a letter
+(``str.isalpha``) or ``_`` and go on with ``str.isalnum`` characters,
+``_`` and ``'``.  Numerals are ASCII ``[0-9]+``; any other digit
+outside an identifier is an "unexpected character".  The term/type
+parser here and the ``.bde`` parser in glam.bde share ``TokenCursor``,
+which keeps the kinds in a list beside the tokens so that lookahead is
+an index lookup.  The binary type formers are parsed by precedence
+climbing.  Input nested deeper than the Python stack allows raises
+``NestingTooDeep`` from every parse entry point.
+
 Surface grammar (normative; see docs/grammar.md for the commented
 version):
 
@@ -44,10 +57,12 @@ definition names never show up in explicit substitution lists.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ParseError
+from .errors import NestingTooDeep, ParseError
 from .syntax import (
     NAT,
     PRIMITIVES,
@@ -106,64 +121,88 @@ KEYWORDS = {
 _SYMBOLS = ["<*>", "<-", "->", "|>", "(", ")", "[", "]", "{", "}", ",", ":",
             ";", ".", "\\", "*", "+", "#", "|", "="]
 
+# One match per token, with the blanks before it.  Exactly one group
+# takes part in a match (none for trailing blanks): a comment, a
+# newline, a word, an ASCII numeral, a symbol (in _SYMBOLS order, so
+# the longest wins), or any other character, which is an error.
+# [^\W\d] is a word character that is not a decimal digit; the few
+# such characters that are not letters (superscript digits, vulgar
+# fractions) are rejected after the match.
+_TOKEN_RE = re.compile(
+    r"[ \t\r]*(?:(--[^\n]*)|(\n)|([^\W\d][\w']*)|([0-9]+)|("
+    + "|".join(map(re.escape, _SYMBOLS))
+    + r")|(.)|\Z)",
+    re.DOTALL,
+)
+_COMMENT, _NEWLINE, _WORD, _NUM, _SYMBOL = 1, 2, 3, 4, 5
 
-@dataclass(frozen=True)
-class Tok:
-    kind: str  # keyword, symbol, "ident", "num", "eof"
-    value: str
-    line: int
-    col: int
 
-    @property
-    def loc(self):
-        return (self.line, self.col)
-
-
-def tokenize(text: str):
+def tokenize(text: str) -> list:
+    """The tokens of ``text`` as ``(kind, value, line, col)`` tuples,
+    ending with an ``eof`` token.  The kind of a keyword or a symbol is
+    its own text; other words are ``ident``, numerals ``num``."""
     toks = []
-    line, col, i, n = 1, 1, 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
+    append = toks.append
+    line, line_start, comment_at = 1, 0, -1
+    for m in _TOKEN_RE.finditer(text):
+        g = m.lastindex
+        if g is None:
+            continue
+        if g == _COMMENT:
+            comment_at = m.start(g)
+            continue
+        if g == _NEWLINE:
             line += 1
-            col = 1
-            i += 1
+            line_start = m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            word = text[i:j]
-            toks.append(Tok(word if word in KEYWORDS else "ident", word, line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Tok("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Tok(sym, sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
+        value = m[g]
+        col = m.start(g) - line_start + 1
+        if g == _WORD:
+            if value in KEYWORDS:
+                append((value, value, line, col))
+            elif value[0].isalpha() or value[0] == "_":
+                append(("ident", value, line, col))
+            else:
+                raise ParseError(f"unexpected character {value[0]!r}", (line, col))
+        elif g == _SYMBOL:
+            append((value, value, line, col))
+        elif g == _NUM:
+            append(("num", value, line, col))
         else:
-            raise ParseError(f"unexpected character {c!r}", (line, col))
-    toks.append(Tok("eof", "", line, col))
+            raise ParseError(f"unexpected character {value!r}", (line, col))
+    # the end-of-file column stops where a comment on the last line
+    # starts, as it always has; errors at end of file are reported there
+    end = comment_at if comment_at >= line_start else len(text)
+    append(("eof", "", line, end - line_start + 1))
     return toks
+
+
+class TokenCursor:
+    """A position in a token list.  The kinds are kept in a list of
+    their own, so looking at the next token is one index lookup.  A
+    token's location is ``tok[2:]``, the tuple (line, col)."""
+
+    def __init__(self, toks):
+        self.toks = toks
+        self.kinds = [t[0] for t in toks]
+        self.i = 0
+
+    def at(self, kind) -> bool:
+        return self.kinds[self.i] == kind
+
+    def peek(self):
+        return self.toks[self.i]
+
+    def advance(self):
+        self.i += 1
+        return self.toks[self.i - 1]
+
+    def expect(self, kind, value=None):
+        t = self.toks[self.i]
+        if t[0] != kind or (value is not None and t[1] != value):
+            raise ParseError(f"expected {value or kind!r}, found {t[1] or t[0]!r}", t[2:])
+        self.i += 1
+        return t
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +272,16 @@ def fix_term(ty: Type) -> Term:
 # ---------------------------------------------------------------------------
 # Parser
 
-_PREFIX_KEYWORDS = {"succ", "fst", "snd", "unfold", "next", "unbox"}
-_ANNOT_KEYWORDS = {"inl", "inr", "abort", "fold"}
-_BINDER_KEYWORDS = {"prev", "box", "boxp"}
-_TERM_START = (
-    {"ident", "num", "(", "fix"} | _PREFIX_KEYWORDS | _ANNOT_KEYWORDS | _BINDER_KEYWORDS
-)
+_TYPE_CONSTANTS = {"Nat": NAT, "Unit": UNIT, "Void": VOID}
+# The right-associative binary type formers: precedence, constructor.
+_TYPE_OPS = {"->": (0, Arrow), "+": (1, Sum), "*": (2, Prod)}
+_PREFIX_CTORS = {
+    "succ": Succ, "fst": Proj1, "snd": Proj2,
+    "unfold": Unfold, "next": Next, "unbox": Unbox,
+}
+_ANNOT_CTORS = {"inl": In1, "inr": In2, "abort": Abort, "fold": Fold}
+_BINDER_CTORS = {"prev": Prev, "box": BoxI, "boxp": BoxSum}
+_TERM_START = {"ident", "num", "(", "fix", *_PREFIX_CTORS, *_ANNOT_CTORS, *_BINDER_CTORS}
 
 
 class _PrimRef:
@@ -249,114 +292,74 @@ class _PrimRef:
         self.loc = loc
 
 
-class _Parser:
+class _Parser(TokenCursor):
     def __init__(self, toks, env, strict):
-        self.toks = toks
-        self.i = 0
+        super().__init__(toks)
         self.env = env or {}
         self.strict = strict
         self.scope = frozenset()
 
-    # -- token plumbing
-
-    def peek(self) -> Tok:
-        return self.toks[self.i]
-
-    def advance(self) -> Tok:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, kind) -> Tok:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {t.value or t.kind!r}", t.loc)
-        return self.advance()
-
-    def at(self, kind) -> bool:
-        return self.peek().kind == kind
-
     # -- types
 
-    def p_type(self) -> Type:
-        left = self.p_tsum()
-        if self.at("->"):
-            self.advance()
-            return Arrow(left, self.p_type())
-        return left
-
-    def p_tsum(self) -> Type:
-        left = self.p_tprod()
-        if self.at("+"):
-            self.advance()
-            return Sum(left, self.p_tsum())
-        return left
-
-    def p_tprod(self) -> Type:
+    def p_type(self, min_prec: int = 0) -> Type:
+        """Precedence climbing over the binary formers: each operand is a
+        unary type, and the right operand of an operator of precedence p
+        takes every operator of precedence p or more."""
         left = self.p_tunary()
-        if self.at("*"):
-            self.advance()
-            return Prod(left, self.p_tprod())
-        return left
+        while True:
+            op = _TYPE_OPS.get(self.kinds[self.i])
+            if op is None or op[0] < min_prec:
+                return left
+            self.i += 1
+            left = op[1](left, self.p_type(op[0]))
 
     def p_tunary(self) -> Type:
-        if self.at("|>"):
-            self.advance()
+        kind = self.kinds[self.i]
+        if kind == "|>":
+            self.i += 1
             return Later(self.p_tunary())
-        if self.at("#"):
-            self.advance()
+        if kind == "#":
+            self.i += 1
             return Box(self.p_tunary())
-        return self.p_tatom()
-
-    def p_tatom(self) -> Type:
-        t = self.peek()
-        if t.kind == "Nat":
-            self.advance()
-            return NAT
-        if t.kind == "Unit":
-            self.advance()
-            return UNIT
-        if t.kind == "Void":
-            self.advance()
-            return VOID
-        if t.kind == "ident":
-            self.advance()
-            return TVar(t.value)
-        if t.kind == "mu":
-            self.advance()
-            v = self.expect("ident").value
+        t = self.advance()
+        const = _TYPE_CONSTANTS.get(kind)
+        if const is not None:
+            return const
+        if kind == "ident":
+            return TVar(t[1])
+        if kind == "mu":
+            v = self.expect("ident")[1]
             self.expect(".")
             return Mu(v, self.p_type())
-        if t.kind == "(":
-            self.advance()
+        if kind == "(":
             ty = self.p_type()
             self.expect(")")
             return ty
-        raise ParseError(f"expected a type, found {t.value or t.kind!r}", t.loc)
+        raise ParseError(f"expected a type, found {t[1] or kind!r}", t[2:])
 
     # -- terms
 
     def p_term(self) -> Term:
-        t = self.peek()
-        if t.kind == "\\":
-            self.advance()
-            x = self.expect("ident").value
+        kind = self.kinds[self.i]
+        if kind == "\\":
+            loc = self.advance()[2:]
+            x = self.expect("ident")[1]
             annot = None
             if self.at(":"):
-                self.advance()
+                self.i += 1
                 annot = self.p_type()
             self.expect(".")
             saved = self.scope
             self.scope = saved | {x}
             body = self.p_term()
             self.scope = saved
-            return Lam(x, annot, body, loc=t.loc)
-        if t.kind == "case":
-            self.advance()
+            return Lam(x, annot, body, loc=loc)
+        if kind == "case":
+            loc = self.advance()[2:]
             scrut = self.p_term()
             self.expect("of")
             self.expect("inl")
-            x1 = self.expect("ident").value
+            x1 = self.expect("ident")[1]
             self.expect("->")
             saved = self.scope
             self.scope = saved | {x1}
@@ -364,25 +367,25 @@ class _Parser:
             self.scope = saved
             self.expect("|")
             self.expect("inr")
-            x2 = self.expect("ident").value
+            x2 = self.expect("ident")[1]
             self.expect("->")
             self.scope = saved | {x2}
             arm2 = self.p_term()
             self.scope = saved
-            return Case(scrut, x1, arm1, x2, arm2, loc=t.loc)
+            return Case(scrut, x1, arm1, x2, arm2, loc=loc)
         return self.p_apl()
 
     def p_apl(self) -> Term:
         left = self.p_app()
-        while self.at("<*>"):
-            loc = self.advance().loc
+        while self.kinds[self.i] == "<*>":
+            loc = self.advance()[2:]
             left = LaterApp(left, self.p_app(), loc=loc)
         return left
 
     def p_app(self) -> Term:
         head = self.p_prefix()
         units = []
-        while self.peek().kind in _TERM_START:
+        while self.kinds[self.i] in _TERM_START:
             units.append(self.p_prefix())
         if isinstance(head, _PrimRef):
             arity = PRIMITIVES[head.name].arity
@@ -420,28 +423,23 @@ class _Parser:
         return u
 
     def p_prefix(self):
-        t = self.peek()
-        if t.kind in _PREFIX_KEYWORDS:
-            self.advance()
+        kind = self.kinds[self.i]
+        if kind in _PREFIX_CTORS:
+            loc = self.advance()[2:]
             body = self._force(self.p_prefix())
-            ctor = {
-                "succ": Succ, "fst": Proj1, "snd": Proj2,
-                "unfold": Unfold, "next": Next, "unbox": Unbox,
-            }[t.kind]
-            return ctor(body, loc=t.loc)
-        if t.kind in _ANNOT_KEYWORDS:
-            self.advance()
+            return _PREFIX_CTORS[kind](body, loc=loc)
+        if kind in _ANNOT_CTORS:
+            loc = self.advance()[2:]
             annot = None
             if self.at("["):
-                self.advance()
+                self.i += 1
                 annot = self.p_type()
                 self.expect("]")
             body = self._force(self.p_prefix())
-            ctor = {"inl": In1, "inr": In2, "abort": Abort, "fold": Fold}[t.kind]
-            return ctor(annot, body, loc=t.loc)
-        if t.kind in _BINDER_KEYWORDS:
-            self.advance()
-            ctor = {"prev": Prev, "box": BoxI, "boxp": BoxSum}[t.kind]
+            return _ANNOT_CTORS[kind](annot, body, loc=loc)
+        if kind in _BINDER_CTORS:
+            loc = self.advance()[2:]
+            ctor = _BINDER_CTORS[kind]
             if self.at("{"):
                 sig = self.p_bindings()
                 self.expect(".")
@@ -449,16 +447,16 @@ class _Parser:
                 self.scope = saved | {x for x, _ in sig}
                 body = self.p_term()
                 self.scope = saved
-                return ctor(sig, body, loc=t.loc)
+                return ctor(sig, body, loc=loc)
             if self.at("."):
-                self.advance()
+                self.i += 1
                 body = self.p_term()
                 sig = tuple((x, Var(x)) for x in sorted(free_vars(body)))
-                return ctor(sig, body, loc=t.loc)
+                return ctor(sig, body, loc=loc)
             body = self._force(self.p_prefix())
-            return ctor((), body, loc=t.loc)
-        if t.kind == "fix":
-            self.advance()
+            return ctor((), body, loc=loc)
+        if kind == "fix":
+            self.i += 1
             self.expect("[")
             ty = self.p_type()
             self.expect("]")
@@ -470,55 +468,54 @@ class _Parser:
         sig = []
         seen = set()
         while not self.at("}"):
-            x = self.expect("ident")
-            if x.value in seen:
-                raise ParseError(f"duplicate variable {x.value} in substitution", x.loc)
-            seen.add(x.value)
+            tok = self.expect("ident")
+            x = tok[1]
+            if x in seen:
+                raise ParseError(f"duplicate variable {x} in substitution", tok[2:])
+            seen.add(x)
             self.expect("<-")
-            sig.append((x.value, self.p_term()))
+            sig.append((x, self.p_term()))
             if self.at(","):
-                self.advance()
+                self.i += 1
             elif not self.at("}"):
-                raise ParseError("expected ',' or '}' in substitution", self.peek().loc)
-        self.advance()
+                raise ParseError("expected ',' or '}' in substitution", self.peek()[2:])
+        self.i += 1
         return tuple(sig)
 
     def p_atom(self):
-        t = self.peek()
-        if t.kind == "ident":
-            self.advance()
-            name = t.value
+        t = self.advance()
+        kind = t[0]
+        if kind == "ident":
+            name = t[1]
             if name in self.scope:
-                return Var(name, loc=t.loc)
+                return Var(name, loc=t[2:])
             if name in self.env:
                 return self.env[name]
             if name in PRIMITIVES:
-                return _PrimRef(name, t.loc)
+                return _PrimRef(name, t[2:])
             if self.strict:
-                raise ParseError(f"unknown identifier {name!r}", t.loc)
-            return Var(name, loc=t.loc)
-        if t.kind == "num":
-            self.advance()
-            return numeral(int(t.value))
-        if t.kind == "(":
-            self.advance()
+                raise ParseError(f"unknown identifier {name!r}", t[2:])
+            return Var(name, loc=t[2:])
+        if kind == "num":
+            return numeral(int(t[1]))
+        if kind == "(":
             if self.at(")"):
-                self.advance()
-                return UnitVal(loc=t.loc)
+                self.i += 1
+                return UnitVal(loc=t[2:])
             inner = self.p_term()
             if self.at(","):
-                self.advance()
+                self.i += 1
                 right = self.p_term()
                 self.expect(")")
-                return Pair(inner, right, loc=t.loc)
+                return Pair(inner, right, loc=t[2:])
             if self.at(":"):
-                self.advance()
+                self.i += 1
                 ty = self.p_type()
                 self.expect(")")
-                return Ascribe(inner, ty, loc=t.loc)
+                return Ascribe(inner, ty, loc=t[2:])
             self.expect(")")
             return inner
-        raise ParseError(f"expected a term, found {t.value or t.kind!r}", t.loc)
+        raise ParseError(f"expected a term, found {t[1] or kind!r}", t[2:])
 
     # -- programs
 
@@ -528,11 +525,11 @@ class _Parser:
         while not self.at("eof"):
             self.expect("def")
             name_tok = self.expect("ident")
-            name = name_tok.value
+            name = name_tok[1]
             if name in seen:
-                raise ParseError(f"duplicate definition {name!r}", name_tok.loc)
+                raise ParseError(f"duplicate definition {name!r}", name_tok[2:])
             if name in PRIMITIVES:
-                raise ParseError(f"cannot redefine primitive {name!r}", name_tok.loc)
+                raise ParseError(f"cannot redefine primitive {name!r}", name_tok[2:])
             self.expect(":")
             ty = self.p_type()
             self.expect("=")
@@ -545,25 +542,43 @@ class _Parser:
             self.env[name] = d.resolved()
         return Program(defs, base=base)
 
+    def p_end(self, what: str) -> None:
+        t = self.peek()
+        if t[0] != "eof":
+            raise ParseError(f"unexpected {t[1] or t[0]!r} after {what}", t[2:])
 
+
+def nesting_guard(parse):
+    """Make a parse entry point raise NestingTooDeep, not RecursionError,
+    on input nested deeper than the Python stack allows."""
+
+    @functools.wraps(parse)
+    def guarded(*args, **kwargs):
+        try:
+            return parse(*args, **kwargs)
+        except RecursionError:
+            raise NestingTooDeep("input nested too deeply to process") from None
+
+    return guarded
+
+
+@nesting_guard
 def parse_term(text: str, env=None, strict: bool = False) -> Term:
     p = _Parser(tokenize(text), dict(env) if env else {}, strict)
     t = p.p_term()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected {tok.value or tok.kind!r} after term", tok.loc)
+    p.p_end("term")
     return t
 
 
+@nesting_guard
 def parse_type(text: str) -> Type:
     p = _Parser(tokenize(text), {}, False)
     ty = p.p_type()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected {tok.value or tok.kind!r} after type", tok.loc)
+    p.p_end("type")
     return ty
 
 
+@nesting_guard
 def parse_program(text: str, base: Optional[Program] = None) -> Program:
     env = base.env() if base is not None else {}
     p = _Parser(tokenize(text), env, strict=True)

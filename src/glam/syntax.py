@@ -356,11 +356,22 @@ def _shape(t) -> tuple:
 # Numerals
 
 
+_NUMERALS: list = [Zero()]
+
+
 def numeral(n: int) -> Term:
-    t: Term = Zero()
-    for _ in range(n):
-        t = Succ(t)
-    return t
+    """succ^n zero, as one chain shared by every caller.
+
+    numeral(n) is numeral(n + 1).body, so the nodes' cached ``_fv``,
+    ``_nv`` and memos are filled in once and seen by every later use,
+    the machine's delta rule included.  The cache is process-wide and
+    never shrinks: it holds one node per natural up to the largest
+    numeral built so far.
+    """
+    chain = _NUMERALS
+    while len(chain) <= n:
+        chain.append(Succ(chain[-1]))
+    return chain[n]
 
 
 _NO_NV = object()

@@ -80,6 +80,13 @@ def test_parse_syntax_error():
         parse_bde("bde broken(1) { head = ; }")
 
 
+def test_non_ascii_digit_arity_is_a_parse_error():
+    with pytest.raises(ParseError) as e:
+        parse_bde("bde f(²) { head = 0; tail = f; }")
+    assert e.value.message == "unexpected character '²'"
+    assert e.value.loc == (1, 7)
+
+
 # ---------------------------------------------------------------------------
 # Validation
 

@@ -41,6 +41,14 @@ def test_deep_nesting_is_one_line_error(capsys, tmp_path):
     assert err.startswith("NestingTooDeep: ") and err.count("\n") == 1
 
 
+def test_non_ascii_digit_is_one_line_parse_error(capsys, tmp_path):
+    path = tmp_path / "digit.gl"
+    path.write_text("def x : Nat = ²;", encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "ParseError: unexpected character '²' (at 1:15)\n"
+
+
 def test_take_toggle(capsys):
     assert main(["take", str(PRELUDE_PATH), "toggle", "4"]) == 0
     assert capsys.readouterr().out.strip() == "1 0 1 0"

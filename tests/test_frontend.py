@@ -1,16 +1,22 @@
+from pathlib import Path
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from glam.errors import ParseError
+from glam.errors import NestingTooDeep, ParseError
 from glam.frontend import (
+    KEYWORDS,
+    _SYMBOLS,
     fix_term,
     parse_program,
     parse_term,
     parse_type,
     pretty,
     pretty_type,
+    tokenize,
 )
+from glam.prelude import EXTRAS_PATH, PRELUDE_PATH
 from glam.syntax import (
     NAT,
     Arrow,
@@ -20,6 +26,7 @@ from glam.syntax import (
     Prev,
     Prim,
     Prod,
+    Sum,
     TVar,
     Unfold,
     Fold,
@@ -34,6 +41,124 @@ from glam.typecheck import infer
 
 import corpus
 from test_syntax import _terms, _types
+
+ROOT = Path(__file__).parent.parent
+PROGRAM_FILES = [
+    PRELUDE_PATH, EXTRAS_PATH, ROOT / "programs/demo.gl", ROOT / "programs/badfolds.gl",
+    ROOT / "perfbench/programs/bench.gl", ROOT / "programs/streams.bde",
+    ROOT / "programs/rutten.bde",
+]
+
+
+def _reference_tokenize(text: str):
+    """The character-at-a-time lexer that the one-regex ``tokenize``
+    replaced, kept as its reference.  It yields the tokens one by one,
+    so a test can see what it lexed before raising.  Unlike
+    ``tokenize`` it starts a numeral at any ``str.isdigit`` character,
+    superscripts and non-ASCII decimal digits included."""
+    line, col, i, n = 1, 1, 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("--", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_'"):
+                j += 1
+            word = text[i:j]
+            yield (word if word in KEYWORDS else "ident", word, line, col)
+            col += j - i
+            i = j
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            yield ("num", text[i:j], line, col)
+            col += j - i
+            i = j
+            continue
+        for sym in _SYMBOLS:
+            if text.startswith(sym, i):
+                yield (sym, sym, line, col)
+                col += len(sym)
+                i += len(sym)
+                break
+        else:
+            raise ParseError(f"unexpected character {c!r}", (line, col))
+    yield ("eof", "", line, col)
+
+
+@pytest.mark.parametrize("path", PROGRAM_FILES, ids=lambda p: p.name)
+def test_lexer_matches_reference_on_program_files(path):
+    text = path.read_text()
+    assert tokenize(text) == list(_reference_tokenize(text))
+
+
+_LEX_ALPHABET = _SYMBOLS + [
+    "--", " ", "\t", "\r", "\n", "_", "'", "λ", "é", "-", "\f", "²", "١",
+    *"abcxyzABCXYZ", *"0123456789",
+]
+
+
+@given(st.lists(st.sampled_from(_LEX_ALPHABET), max_size=30).map("".join))
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_lexer_matches_reference(text):
+    ref, ref_err = [], None
+    try:
+        for tok in _reference_tokenize(text):
+            ref.append(tok)
+    except ParseError as e:
+        ref_err = e
+    try:
+        toks, err = tokenize(text), None
+    except ParseError as e:
+        toks, err = None, e
+    wide = next((t for t in ref if t[0] == "num" and not t[1].isascii()), None)
+    if wide is not None:
+        # the reference read a non-ASCII digit as a numeral; the regex
+        # lexer rejects that digit
+        _, value, line, col = wide
+        k = next(k for k, c in enumerate(value) if not c.isascii())
+        assert err is not None
+        assert (err.message, err.loc) == (f"unexpected character {value[k]!r}", (line, col + k))
+    elif ref_err is not None:
+        assert err is not None
+        assert (err.message, err.loc) == (ref_err.message, ref_err.loc)
+    else:
+        assert toks == ref
+
+
+@pytest.mark.parametrize("src", ["²", "١٢", "x ²", "1²"])
+def test_non_ascii_digit_is_a_parse_error(src):
+    with pytest.raises(ParseError) as e:
+        parse_term(src)
+    bad = next(c for c in src if not c.isascii())
+    assert e.value.message == f"unexpected character {bad!r}"
+    assert e.value.loc == (1, src.index(bad) + 1)
+
+
+def test_type_precedence_climbing():
+    a, b, c, d, e, f = (TVar(x) for x in "ABCDEF")
+    got = parse_type("A * B -> C + D * E -> F")
+    assert type_alpha_eq(got, Arrow(Prod(a, b), Arrow(Sum(c, Prod(d, e)), f)))
+
+
+def test_deep_nesting_is_nesting_too_deep():
+    src = "def deep : Nat = " + "(" * 30_000 + "0" + ")" * 30_000 + ";"
+    with pytest.raises(NestingTooDeep):
+        parse_program(src)
 
 
 def test_parse_unfold_fold():

@@ -40,6 +40,10 @@ from glam.syntax import (
 )
 
 
+def test_delta_rule_returns_the_shared_numeral():
+    assert step(Prim("addN", (numeral(3), numeral(4)))) is numeral(7)
+
+
 def _t(src):
     return corpus.term(src)
 

@@ -157,6 +157,8 @@ def test_type_alpha_eq_box_of_mu():
 
 def test_numerals():
     assert numeral_value(numeral(7)) == 7
+    assert numeral(7) is numeral(7)
+    assert numeral(7).body is numeral(6)
     assert numeral_value(Succ(Var("x"))) is None
     assert numeral_value(UnitVal()) is None
 
