@@ -22,9 +22,16 @@ DEFAULT_N = 8
 DEFAULT_INDEX = 3
 
 
-def _default_fuel() -> int:
+def _fuel(given: int | None) -> int:
+    """The given fuel, else GLAM_FUEL, else the machine's default."""
+    if given is not None:
+        return given
     env = os.environ.get("GLAM_FUEL")
-    return int(env) if env else machine.DEFAULT_FUEL
+    if not env:
+        return machine.DEFAULT_FUEL
+    if not env.strip().isdecimal():
+        raise GlamError(f"GLAM_FUEL must be a non-negative integer, not {env!r}")
+    return int(env)
 
 
 def _load(path: str) -> Program:
@@ -39,6 +46,11 @@ def _lookup(program: Program, name: str):
     if d is None:
         raise GlamError(f"no definition named {name!r}")
     return d
+
+
+def _given(*values):
+    """The first value that is not None, so that a given 0 is kept."""
+    return next(v for v in values if v is not None)
 
 
 def _is_stream_type(ty) -> bool:
@@ -61,7 +73,7 @@ def cmd_check(args) -> int:
 def cmd_run(args) -> int:
     program = _load(args.file)
     d = _lookup(program, args.name)
-    out = machine.eval_term(d.resolved(), fuel=args.fuel or _default_fuel())
+    out = machine.eval_term(d.resolved(), fuel=_fuel(args.fuel))
     if isinstance(out, machine.Value):
         print(pretty(out.term))
         return 0
@@ -73,8 +85,8 @@ def cmd_run(args) -> int:
 def cmd_take(args) -> int:
     program = _load(args.file)
     d = _lookup(program, args.name)
-    n = args.n if args.n is not None else (args.count or DEFAULT_N)
-    xs = machine.take_stream(d.resolved(), n, fuel=args.fuel or _default_fuel())
+    n = _given(args.n, args.count, DEFAULT_N)
+    xs = machine.take_stream(d.resolved(), n, fuel=_fuel(args.fuel))
     print(" ".join(str(x) for x in xs))
     return 0
 
@@ -82,7 +94,7 @@ def cmd_take(args) -> int:
 def cmd_denote(args) -> int:
     program = _load(args.file)
     d = _lookup(program, args.name)
-    i = args.index if args.index is not None else (args.stage or DEFAULT_INDEX)
+    i = _given(args.index, args.stage, DEFAULT_INDEX)
     if type_alpha_eq(d.ty, NAT):
         print(denot.den_nat(d.resolved(), i))
     elif _is_stream_type(d.ty):
@@ -123,11 +135,11 @@ def cmd_bde_run(args) -> int:
     defs = bdemod.parse_bde(Path(args.file).read_text())
     out = bdemod.compile_bde(defs, args.name)
     pairs = [_bde_arg(a) for a in args.args]
-    n = args.n or DEFAULT_N
+    n = _given(args.n, DEFAULT_N)
     applied = out.guarded
     for term, _ in pairs:
         applied = App(applied, term)
-    got = machine.take_stream(applied, n, fuel=args.fuel or _default_fuel())
+    got = machine.take_stream(applied, n, fuel=_fuel(args.fuel))
     want = bdemod.oracle_eval(defs, args.name, [h for _, h in pairs], n)
     print("i compiled oracle")
     for i, (g, w) in enumerate(zip(got, want)):
@@ -149,7 +161,7 @@ def cmd_repl(args) -> int:
 
 
 def run_repl(infile, outfile, fuel: int | None = None) -> None:
-    fuel = fuel or _default_fuel()
+    fuel = _fuel(fuel)
     program = load_prelude()
     env = program.env()
 
@@ -170,7 +182,10 @@ def run_repl(infile, outfile, fuel: int | None = None) -> None:
                 return
             if line.startswith(":load "):
                 path = line[len(":load "):].strip()
-                program = _load(path)
+                try:
+                    program = _load(path)
+                except OSError as e:
+                    raise _ReplError(str(e)) from None
                 env = program.env()
                 w(f"loaded {len(program)} definitions")
             elif line.startswith(":t "):
@@ -181,14 +196,13 @@ def run_repl(infile, outfile, fuel: int | None = None) -> None:
                 nxt = machine.step(t)
                 w(pretty(nxt) if nxt is not None else "(no step: value or stuck)")
             elif line.startswith(":take "):
-                rest = line[6:].split(None, 1)
-                t = parse_term(rest[1], env=env, strict=True)
-                w(" ".join(str(x) for x in machine.take_stream(t, int(rest[0]), fuel)))
+                n, src = _count_and_term(":take n e", line[6:])
+                t = parse_term(src, env=env, strict=True)
+                w(" ".join(str(x) for x in machine.take_stream(t, n, fuel)))
             elif line.startswith(":den "):
-                rest = line[5:].split(None, 1)
-                i = int(rest[0])
-                t = parse_term(rest[1], env=env, strict=True)
-                ty = typecheck.infer({}, t) if _synthesizes(env, rest[1]) else None
+                i, src = _count_and_term(":den i e", line[5:])
+                t = parse_term(src, env=env, strict=True)
+                ty = typecheck.infer({}, t) if _synthesizes(env, src) else None
                 if ty is not None and type_alpha_eq(ty, NAT):
                     w(str(denot.den_nat(t, i)))
                 else:
@@ -204,6 +218,20 @@ def run_repl(infile, outfile, fuel: int | None = None) -> None:
                     w(f"error: no value after {out.steps} steps")
         except GlamError as e:
             w(e.render())
+        except _ReplError as e:
+            w(f"error: {e}")
+
+
+class _ReplError(Exception):
+    """A malformed REPL command, or a file :load could not read."""
+
+
+def _count_and_term(usage: str, rest: str):
+    """The count and the term source of :take and :den."""
+    parts = rest.split(None, 1)
+    if len(parts) != 2 or not parts[0].isdecimal():
+        raise _ReplError(f"usage: {usage}")
+    return int(parts[0]), parts[1]
 
 
 def _synthesizes(env, src: str) -> bool:

@@ -66,6 +66,7 @@ from .errors import NestingTooDeep, ParseError
 from .syntax import (
     NAT,
     PRIMITIVES,
+    TYPE_SHAPES,
     UNIT,
     VOID,
     Abort,
@@ -83,7 +84,6 @@ from .syntax import (
     LaterApp,
     Later,
     Mu,
-    Nat,
     Next,
     Pair,
     Prev,
@@ -98,11 +98,8 @@ from .syntax import (
     Type,
     Unbox,
     Unfold,
-    Unit,
     UnitVal,
     Var,
-    Void,
-    Zero,
     free_vars,
     fresh_name,
     numeral,
@@ -275,6 +272,7 @@ def fix_term(ty: Type) -> Term:
 _TYPE_CONSTANTS = {"Nat": NAT, "Unit": UNIT, "Void": VOID}
 # The right-associative binary type formers: precedence, constructor.
 _TYPE_OPS = {"->": (0, Arrow), "+": (1, Sum), "*": (2, Prod)}
+_TYPE_PREFIX_CTORS = {"|>": Later, "#": Box}
 _PREFIX_CTORS = {
     "succ": Succ, "fst": Proj1, "snd": Proj2,
     "unfold": Unfold, "next": Next, "unbox": Unbox,
@@ -315,12 +313,10 @@ class _Parser(TokenCursor):
 
     def p_tunary(self) -> Type:
         kind = self.kinds[self.i]
-        if kind == "|>":
+        ctor = _TYPE_PREFIX_CTORS.get(kind)
+        if ctor is not None:
             self.i += 1
-            return Later(self.p_tunary())
-        if kind == "#":
-            self.i += 1
-            return Box(self.p_tunary())
+            return ctor(self.p_tunary())
         t = self.advance()
         const = _TYPE_CONSTANTS.get(kind)
         if const is not None:
@@ -601,10 +597,28 @@ def _parens(s: str, mine: int, want: int) -> str:
     return f"({s})" if mine < want else s
 
 
+# The printer's keywords are the parser's tables, read backwards.
+_PREFIX_KW = {c: k for k, c in _PREFIX_CTORS.items()}
+_ANNOT_KW = {c: k for k, c in _ANNOT_CTORS.items()}
+_BINDER_KW = {c: k for k, c in _BINDER_CTORS.items()}
+
+
 def _pp(t: Term, want: int) -> str:
     n = numeral_value(t)
     if n is not None:
         return str(n)
+    cls = t.__class__
+    if cls in _PREFIX_KW:
+        return _parens(f"{_PREFIX_KW[cls]} {_pp(t.body, 3)}", 3, want)
+    if cls in _ANNOT_KW:
+        ann = f"[{pretty_type(t.annot)}]" if t.annot is not None else ""
+        return _parens(f"{_ANNOT_KW[cls]}{ann} {_pp(t.body, 3)}", 3, want)
+    if cls in _BINDER_KW:
+        kw = _BINDER_KW[cls]
+        if not t.subst:
+            return _parens(f"{kw} {_pp(t.body, 3)}", 3, want)
+        pairs = ", ".join(f"{x}<-{_pp(u, 0)}" for x, u in t.subst)
+        return _parens(f"{kw}{{{pairs}}}. {_pp(t.body, 0)}", 0, want)
     match t:
         case Var(x):
             return x
@@ -614,26 +628,6 @@ def _pp(t: Term, want: int) -> str:
             return f"({_pp(l, 0)}, {_pp(r, 0)})"
         case Ascribe(b, a):
             return f"({_pp(b, 0)} : {pretty_type(a)})"
-        case Succ(b):
-            return _parens(f"succ {_pp(b, 3)}", 3, want)
-        case Proj1(b):
-            return _parens(f"fst {_pp(b, 3)}", 3, want)
-        case Proj2(b):
-            return _parens(f"snd {_pp(b, 3)}", 3, want)
-        case Unfold(b):
-            return _parens(f"unfold {_pp(b, 3)}", 3, want)
-        case Next(b):
-            return _parens(f"next {_pp(b, 3)}", 3, want)
-        case Unbox(b):
-            return _parens(f"unbox {_pp(b, 3)}", 3, want)
-        case Abort(a, b):
-            return _parens(f"abort{_ann(a)} {_pp(b, 3)}", 3, want)
-        case In1(a, b):
-            return _parens(f"inl{_ann(a)} {_pp(b, 3)}", 3, want)
-        case In2(a, b):
-            return _parens(f"inr{_ann(a)} {_pp(b, 3)}", 3, want)
-        case Fold(a, b):
-            return _parens(f"fold{_ann(a)} {_pp(b, 3)}", 3, want)
         case Lam(x, a, b):
             annot = f":{pretty_type(a)}" if a is not None else ""
             return _parens(f"\\{x}{annot}. {_pp(b, 0)}", 0, want)
@@ -647,35 +641,20 @@ def _pp(t: Term, want: int) -> str:
             return _parens(f"{_pp(f, 2)} {_pp(a, 3)}", 2, want)
         case LaterApp(f, a):
             return _parens(f"{_pp(f, 1)} <*> {_pp(a, 2)}", 1, want)
-        case Prev(sig, b):
-            return _binder("prev", sig, b, want)
-        case BoxI(sig, b):
-            return _binder("box", sig, b, want)
-        case BoxSum(sig, b):
-            return _binder("boxp", sig, b, want)
         case Prim(name, args):
             # level 1, not 2: a Prim heading an application must be
             # parenthesized or the saturation would absorb the arguments
             inner = " ".join([name] + [_pp(a, 3) for a in args])
             return _parens(inner, 1, want)
-        case Zero():
-            return "0"
         case _:
             raise TypeError(f"not a term: {t!r}")
 
 
-def _ann(a) -> str:
-    return f"[{pretty_type(a)}]" if a is not None else ""
-
-
-def _binder(kw: str, sig, b: Term, want: int) -> str:
-    if not sig:
-        return _parens(f"{kw} {_pp(b, 3)}", 3, want)
-    pairs = ", ".join(f"{x}<-{_pp(u, 0)}" for x, u in sig)
-    return _parens(f"{kw}{{{pairs}}}. {_pp(b, 0)}", 0, want)
-
-
-# Type levels: 0 arrow/mu, 1 sum, 2 product, 3 unary, 4 atom.
+# Type levels: 0 arrow/mu, 1 sum, 2 product, 3 unary, 4 atom.  The
+# binary formers' levels are their precedences in _TYPE_OPS.
+_TYPE_OP_KW = {c: (k, prec) for k, (prec, c) in _TYPE_OPS.items()}
+_TYPE_CONSTANT_KW = {v.__class__: k for k, v in _TYPE_CONSTANTS.items()}
+_TYPE_PREFIX_KW = {c: k for k, c in _TYPE_PREFIX_CTORS.items()}
 
 
 def pretty_type(a: Type) -> str:
@@ -683,25 +662,18 @@ def pretty_type(a: Type) -> str:
 
 
 def _pt(a: Type, want: int) -> str:
+    cls = a.__class__
+    if cls in _TYPE_CONSTANT_KW:
+        return _TYPE_CONSTANT_KW[cls]
+    if cls in _TYPE_OP_KW:
+        kw, prec = _TYPE_OP_KW[cls]
+        left, right = (getattr(a, f) for f in TYPE_SHAPES[cls])
+        return _parens(f"{_pt(left, prec + 1)} {kw} {_pt(right, prec)}", prec, want)
+    if cls in _TYPE_PREFIX_KW:
+        return _parens(f"{_TYPE_PREFIX_KW[cls]}{_pt(a.body, 3)}", 3, want)
     match a:
         case TVar(x):
             return x
-        case Nat():
-            return "Nat"
-        case Unit():
-            return "Unit"
-        case Void():
-            return "Void"
-        case Arrow(d, c):
-            return _parens(f"{_pt(d, 1)} -> {_pt(c, 0)}", 0, want)
-        case Sum(l, r):
-            return _parens(f"{_pt(l, 2)} + {_pt(r, 1)}", 1, want)
-        case Prod(l, r):
-            return _parens(f"{_pt(l, 3)} * {_pt(r, 2)}", 2, want)
-        case Later(b):
-            return _parens(f"|>{_pt(b, 3)}", 3, want)
-        case Box(b):
-            return _parens(f"#{_pt(b, 3)}", 3, want)
         case Mu(x, b):
             return _parens(f"mu {x}. {_pt(b, 0)}", 0, want)
         case _:

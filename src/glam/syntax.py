@@ -14,12 +14,14 @@ the body.
 
 ``SHAPES`` gives the child structure of every term class; the
 structural traversals (``free_vars``, ``subst``, ``erase``) loop over it.
+``TYPE_SHAPES`` does the same for the type classes: ``free_type_vars``,
+``type_subst``, ``type_alpha_eq`` and the type predicates and metrics
+of glam.typecheck loop over it.
 """
 
 from __future__ import annotations
 
 import operator
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -658,66 +660,63 @@ def _aeq_under(xs, ys, b1, b2, envt, envu, ctr):
 
 
 # ---------------------------------------------------------------------------
-# Types: free variables, substitution, alpha-equivalence
+# Types: child shapes, free variables, substitution, alpha-equivalence
+#
+# Each type class's fields that hold subtypes, in order (Mu.var and
+# TVar.name are data).  Facts about a type that hold in every context
+# are cached on the node, as free_vars caches _fv on terms.
+
+TYPE_SHAPES = {
+    TVar: (),
+    Nat: (),
+    Unit: (),
+    Void: (),
+    Prod: ("left", "right"),
+    Sum: ("left", "right"),
+    Arrow: ("dom", "cod"),
+    Mu: ("body",),
+    Later: ("body",),
+    Box: ("body",),
+}
 
 
-_FTV_CACHE: "weakref.WeakKeyDictionary[Type, frozenset]" = weakref.WeakKeyDictionary()
+def _type_shape(a) -> tuple:
+    try:
+        return TYPE_SHAPES[a.__class__]
+    except KeyError:
+        raise TypeError(f"not a type: {a!r}") from None
 
 
 def free_type_vars(a: Type) -> frozenset:
-    cached = _FTV_CACHE.get(a)
-    if cached is not None:
-        return cached
-    out = _free_type_vars(a)
-    _FTV_CACHE[a] = out
+    try:
+        return a._ftv
+    except AttributeError:
+        pass
+    if a.__class__ is TVar:
+        out = frozenset((a.name,))
+    else:
+        out = frozenset().union(*[free_type_vars(getattr(a, f)) for f in _type_shape(a)])
+        if a.__class__ is Mu:
+            out -= {a.var}
+    object.__setattr__(a, "_ftv", out)
     return out
-
-
-def _free_type_vars(a: Type) -> frozenset:
-    match a:
-        case TVar(x):
-            return frozenset((x,))
-        case Nat() | Unit() | Void():
-            return frozenset()
-        case Prod(l, r) | Sum(l, r):
-            return free_type_vars(l) | free_type_vars(r)
-        case Arrow(d, c):
-            return free_type_vars(d) | free_type_vars(c)
-        case Mu(x, b):
-            return free_type_vars(b) - {x}
-        case Later(b) | Box(b):
-            return free_type_vars(b)
-        case _:
-            raise TypeError(f"not a type: {a!r}")
 
 
 def type_subst(a: Type, var: str, b: Type) -> Type:
     """a[b/var], capture-avoiding on mu binders."""
     if var not in free_type_vars(a):
         return a
-    match a:
-        case TVar(_):
-            return b
-        case Prod(l, r):
-            return Prod(type_subst(l, var, b), type_subst(r, var, b))
-        case Sum(l, r):
-            return Sum(type_subst(l, var, b), type_subst(r, var, b))
-        case Arrow(d, c):
-            return Arrow(type_subst(d, var, b), type_subst(c, var, b))
-        case Mu(x, body):
-            if x == var:
-                return a
-            if x in free_type_vars(b):
-                xn = fresh_name(x, free_type_vars(b) | free_type_vars(body) | {var})
-                body = type_subst(body, x, TVar(xn))
-                x = xn
-            return Mu(x, type_subst(body, var, b))
-        case Later(body):
-            return Later(type_subst(body, var, b))
-        case Box(body):
-            return Box(type_subst(body, var, b))
-        case _:
-            raise TypeError(f"not a type: {a!r}")
+    cls = a.__class__
+    if cls is TVar:
+        return b
+    if cls is Mu:
+        x, body = a.var, a.body
+        if x in free_type_vars(b):
+            xn = fresh_name(x, free_type_vars(b) | free_type_vars(body) | {var})
+            body = type_subst(body, x, TVar(xn))
+            x = xn
+        return Mu(x, type_subst(body, var, b))
+    return cls(*[type_subst(getattr(a, f), var, b) for f in TYPE_SHAPES[cls]])
 
 
 def type_alpha_eq(a: Type, b: Type) -> bool:
@@ -728,28 +727,19 @@ def type_alpha_eq(a: Type, b: Type) -> bool:
 def _taeq(a, b, enva, envb, ctr):
     if a is b and enva == envb:
         return True
-    if a.__class__ is not b.__class__:
+    cls = a.__class__
+    if cls is not b.__class__:
         return False
-    match a:
-        case TVar(x):
-            return enva.get(x, x) == envb.get(b.name, b.name)
-        case Nat() | Unit() | Void():
-            return True
-        case Prod(l, r) | Sum(l, r):
-            return _taeq(l, b.left, enva, envb, ctr) and _taeq(r, b.right, enva, envb, ctr)
-        case Arrow(d, c):
-            return _taeq(d, b.dom, enva, envb, ctr) and _taeq(c, b.cod, enva, envb, ctr)
-        case Mu(x, body):
-            ctr[0] += 1
-            enva = dict(enva)
-            envb = dict(envb)
-            enva[x] = ctr[0]
-            envb[b.var] = ctr[0]
-            return _taeq(body, b.body, enva, envb, ctr)
-        case Later(body) | Box(body):
-            return _taeq(body, b.body, enva, envb, ctr)
-        case _:
-            raise TypeError(f"not a type: {a!r}")
+    if cls is TVar:
+        return enva.get(a.name, a.name) == envb.get(b.name, b.name)
+    if cls is Mu:
+        ctr[0] += 1
+        enva = {**enva, a.var: ctr[0]}
+        envb = {**envb, b.var: ctr[0]}
+    for f in _type_shape(a):
+        if not _taeq(getattr(a, f), getattr(b, f), enva, envb, ctr):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

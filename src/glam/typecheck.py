@@ -9,11 +9,12 @@ machinery rely on.  ``infer`` and ``check`` are thin wrappers.
 
 A typing context is an ordered mapping from term variables to closed
 well-formed types.
+
+The type predicates and metrics loop over ``syntax.TYPE_SHAPES`` for
+every type former they do not single out.
 """
 
 from __future__ import annotations
-
-import weakref
 
 from .errors import (
     CannotSynthesize,
@@ -46,7 +47,6 @@ from .syntax import (
     Later,
     LaterApp,
     Mu,
-    Nat,
     Next,
     Pair,
     Prev,
@@ -61,11 +61,10 @@ from .syntax import (
     Type,
     Unbox,
     Unfold,
-    Unit,
     UnitVal,
     Var,
-    Void,
     Zero,
+    _type_shape,
     free_type_vars,
     free_vars,
     type_alpha_eq,
@@ -73,100 +72,63 @@ from .syntax import (
 )
 
 # ---------------------------------------------------------------------------
-# Predicates on types
+# Predicates on types.  Cached on the node: _const (is_constant), _wf
+# (a closed type is well-formed) and _unfold (a mu-type's unfolding).
 
 
 def guarded_in(alpha: str, a: Type) -> bool:
     """True iff every occurrence of alpha in a lies beneath a |>."""
-    match a:
-        case TVar(x):
-            return x != alpha
-        case Nat() | Unit() | Void():
-            return True
-        case Prod(l, r) | Sum(l, r):
-            return guarded_in(alpha, l) and guarded_in(alpha, r)
-        case Arrow(d, c):
-            return guarded_in(alpha, d) and guarded_in(alpha, c)
-        case Mu(x, b):
-            return True if x == alpha else guarded_in(alpha, b)
-        case Later(_):
-            return True
-        case Box(b):
-            return guarded_in(alpha, b)
-        case _:
-            raise TypeError(f"not a type: {a!r}")
-
-
-_CONST_CACHE: "weakref.WeakKeyDictionary[Type, bool]" = weakref.WeakKeyDictionary()
+    cls = a.__class__
+    if cls is TVar:
+        return a.name != alpha
+    if cls is Later or (cls is Mu and a.var == alpha):
+        return True
+    for f in _type_shape(a):
+        if not guarded_in(alpha, getattr(a, f)):
+            return False
+    return True
 
 
 def is_constant(a: Type) -> bool:
     """True iff every |> in a lies beneath a #."""
-    out = _CONST_CACHE.get(a)
-    if out is None:
-        out = _is_constant(a)
-        _CONST_CACHE[a] = out
+    try:
+        return a._const
+    except AttributeError:
+        pass
+    cls = a.__class__
+    out = cls is not Later
+    if out and cls is not Box:
+        for f in _type_shape(a):
+            if not is_constant(getattr(a, f)):
+                out = False
+                break
+    object.__setattr__(a, "_const", out)
     return out
-
-
-def _is_constant(a: Type) -> bool:
-    match a:
-        case TVar(_) | Nat() | Unit() | Void():
-            return True
-        case Prod(l, r) | Sum(l, r):
-            return is_constant(l) and is_constant(r)
-        case Arrow(d, c):
-            return is_constant(d) and is_constant(c)
-        case Mu(_, b):
-            return is_constant(b)
-        case Later(_):
-            return False
-        case Box(_):
-            return True
-        case _:
-            raise TypeError(f"not a type: {a!r}")
-
-
-_WF_CLOSED_OK: "weakref.WeakKeyDictionary[Type, bool]" = weakref.WeakKeyDictionary()
 
 
 def wf_type(tyvars, a: Type) -> None:
     """Type formation: raises UnboundTypeVar, UnguardedMu, or OpenBox."""
     tyvars = frozenset(tyvars)
-    if not tyvars and _WF_CLOSED_OK.get(a):
+    if not tyvars and getattr(a, "_wf", False):
         return
-    _wf_type(tyvars, a)
+    cls = a.__class__
+    if cls is TVar:
+        if a.name not in tyvars:
+            raise UnboundTypeVar(f"unbound type variable {a.name!r}")
+    elif cls is Box:
+        if free_type_vars(a.body):
+            raise OpenBox(f"# applied to an open type: {a.body!r}")
+        wf_type(frozenset(), a.body)
+    else:
+        inner = tyvars | {a.var} if cls is Mu else tyvars
+        for f in _type_shape(a):
+            wf_type(inner, getattr(a, f))
+        if cls is Mu and not guarded_in(a.var, a.body):
+            raise UnguardedMu(
+                f"recursion variable {a.var!r} is not guarded in {a.body!r}"
+            )
     if not tyvars:
-        _WF_CLOSED_OK[a] = True
-
-
-def _wf_type(tyvars, a: Type) -> None:
-    match a:
-        case TVar(x):
-            if x not in tyvars:
-                raise UnboundTypeVar(f"unbound type variable {x!r}")
-        case Nat() | Unit() | Void():
-            pass
-        case Prod(l, r) | Sum(l, r):
-            wf_type(tyvars, l)
-            wf_type(tyvars, r)
-        case Arrow(d, c):
-            wf_type(tyvars, d)
-            wf_type(tyvars, c)
-        case Mu(x, b):
-            wf_type(tyvars | {x}, b)
-            if not guarded_in(x, b):
-                raise UnguardedMu(
-                    f"recursion variable {x!r} is not guarded in {b!r}"
-                )
-        case Later(b):
-            wf_type(tyvars, b)
-        case Box(b):
-            if free_type_vars(b):
-                raise OpenBox(f"# applied to an open type: {b!r}")
-            wf_type(frozenset(), b)
-        case _:
-            raise TypeError(f"not a type: {a!r}")
+        object.__setattr__(a, "_wf", True)
 
 
 # ---------------------------------------------------------------------------
@@ -175,50 +137,27 @@ def _wf_type(tyvars, a: Type) -> None:
 
 def unguarded_size(a: Type) -> int:
     """Node count of the type, except any |>-subtree contributes 0."""
-    match a:
-        case Later(_):
-            return 0
-        case TVar(_) | Nat() | Unit() | Void():
-            return 1
-        case Prod(l, r) | Sum(l, r):
-            return 1 + unguarded_size(l) + unguarded_size(r)
-        case Arrow(d, c):
-            return 1 + unguarded_size(d) + unguarded_size(c)
-        case Mu(_, b) | Box(b):
-            return 1 + unguarded_size(b)
-        case _:
-            raise TypeError(f"not a type: {a!r}")
+    if a.__class__ is Later:
+        return 0
+    return 1 + sum([unguarded_size(getattr(a, f)) for f in _type_shape(a)])
 
 
 def box_depth(a: Type) -> int:
-    match a:
-        case TVar(_) | Nat() | Unit() | Void():
-            return 0
-        case Prod(l, r) | Sum(l, r):
-            return min(box_depth(l), box_depth(r))
-        case Arrow(d, c):
-            return min(box_depth(d), box_depth(c))
-        case Mu(_, b) | Later(b):
-            return box_depth(b)
-        case Box(b):
-            return box_depth(b) + 1
-        case _:
-            raise TypeError(f"not a type: {a!r}")
+    d = min([box_depth(getattr(a, f)) for f in _type_shape(a)], default=0)
+    return d + 1 if a.__class__ is Box else d
 
 
 # ---------------------------------------------------------------------------
 # Bidirectional checking / elaboration
 
 
-_MU_UNFOLD: "weakref.WeakKeyDictionary[Mu, Type]" = weakref.WeakKeyDictionary()
-
-
 def _mu_unfold(a: Mu) -> Type:
-    out = _MU_UNFOLD.get(a)
-    if out is None:
+    try:
+        return a._unfold
+    except AttributeError:
         out = type_subst(a.body, a.var, a)
-        _MU_UNFOLD[a] = out
-    return out
+        object.__setattr__(a, "_unfold", out)
+        return out
 
 
 def _mismatch(msg, loc):

@@ -124,6 +124,44 @@ def test_fuel_env(monkeypatch, capsys):
     monkeypatch.delenv("GLAM_FUEL")
 
 
+def test_bad_fuel_env_is_one_line_error(monkeypatch, capsys):
+    for bad in ("abc", "-3"):
+        monkeypatch.setenv("GLAM_FUEL", bad)
+        assert main(["take", str(PRELUDE_PATH), "toggle", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"Error: GLAM_FUEL must be a non-negative integer, not {bad!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        # a given 0 is used, not replaced by the default
+        (["take", "toggle", "0"], 0, "\n", ""),
+        (["take", "toggle", "--n", "0"], 0, "\n", ""),
+        (["denote", "toggle", "0"], 1, "", "IndexZero: "),
+        (["denote", "toggle", "--index", "0"], 1, "", "IndexZero: "),
+        (["run", "toggle", "--fuel", "0"], 1, "", "error: fuel exhausted after 0 steps"),
+    ],
+)
+def test_zero_arguments_are_kept(capsys, argv, code, out, err):
+    assert main([argv[0], str(PRELUDE_PATH), *argv[1:]]) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err.startswith(err)
+
+
+def test_bde_run_zero_rows(capsys):
+    argv = ["bde-run", str(PROGRAMS / "streams.bde"), "plus", "zeros", "zeros", "--n", "0"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "i compiled oracle\nMATCH\n"
+
+
+def test_repl_zero_fuel():
+    out = io.StringIO()
+    run_repl(io.StringIO("addN 1 1\n"), out, fuel=0)
+    assert "error: no value after 0 steps" in out.getvalue()
+
+
 def test_demo_program(capsys):
     assert main(["check", str(PROGRAMS / "demo.gl")]) == 0
     capsys.readouterr()
@@ -166,6 +204,12 @@ def test_repl_session():
         ":take 3 squares",
         ":bogus",
         ":t missing_name",
+        # malformed commands print one error line and the session goes on
+        ":take abc zeros",
+        ":take 3",
+        ":den x zeros",
+        ":load no-such-file.gl",
+        ":take 2 toggle",
         ":q",
     ]
     out = io.StringIO()
@@ -180,6 +224,10 @@ def test_repl_session():
     assert "0 1 4" in text
     assert "unknown command" in text
     assert "ParseError" in text
+    assert text.count("error: usage: :take n e\n") == 2
+    assert "error: usage: :den i e\n" in text
+    assert "error: [Errno 2] No such file or directory: 'no-such-file.gl'\n" in text
+    assert text.endswith("glam> 1 0\nglam> ")
 
 
 def test_repl_eof_exits():

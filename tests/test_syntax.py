@@ -9,6 +9,7 @@ from glam.syntax import (
     NAT,
     SHAPES,
     STREAM_G,
+    TYPE_SHAPES,
     UNIT,
     Abort,
     App,
@@ -44,6 +45,7 @@ from glam.syntax import (
     Zero,
     alpha_eq,
     erase,
+    free_type_vars,
     free_vars,
     numeral,
     numeral_value,
@@ -175,6 +177,18 @@ def test_every_term_class_has_a_shape():
     for c in classes:
         fields = [f.name for f in dataclasses.fields(c) if f.name != "loc"]
         assert [name for name, _ in SHAPES[c]] == fields, c.__name__
+
+
+def test_every_type_class_has_a_shape():
+    # The table lists exactly the fields that hold subtypes; Mu.var and
+    # TVar.name are data.  A class outside it is not a type.
+    classes = Type.__subclasses__()
+    assert set(TYPE_SHAPES) == set(classes)
+    for c in classes:
+        fields = [f.name for f in dataclasses.fields(c) if f.type == "Type"]
+        assert list(TYPE_SHAPES[c]) == fields, c.__name__
+    with pytest.raises(TypeError, match="not a type: 5"):
+        free_type_vars(Arrow(NAT, 5))
 
 
 def test_every_term_class_has_a_denotation_rule():
