@@ -32,8 +32,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from .errors import BadVariable, BdeError, ForwardReference, ParseError, UnknownSymbol
-from .frontend import TokenCursor, fix_term, nesting_guard, tokenize
+from .errors import (
+    BadVariable,
+    BdeError,
+    ForwardReference,
+    ParseError,
+    UnknownSymbol,
+    nesting_guard,
+)
+from .frontend import TokenCursor, fix_term, tokenize
 from .prelude import load_prelude
 from .syntax import (
     PRIMITIVES,

@@ -41,6 +41,17 @@ def _load(path: str) -> Program:
     return program
 
 
+def _count(text: str) -> int:
+    """argparse type of counts, stages and fuel: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
+    return n
+
+
 def _lookup(program: Program, name: str):
     d = program.lookup(name)
     if d is None:
@@ -257,22 +268,22 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("run", help="evaluate a definition to a value")
     c.add_argument("file")
     c.add_argument("name")
-    c.add_argument("--fuel", type=int, default=None)
+    c.add_argument("--fuel", type=_count, default=None)
     c.set_defaults(fn=cmd_run)
 
     c = sub.add_parser("take", help="print the first n elements of a stream")
     c.add_argument("file")
     c.add_argument("name")
-    c.add_argument("count", nargs="?", type=int, default=None)
-    c.add_argument("--n", type=int, default=None)
-    c.add_argument("--fuel", type=int, default=None)
+    c.add_argument("count", nargs="?", type=_count, default=None)
+    c.add_argument("--n", type=_count, default=None)
+    c.add_argument("--fuel", type=_count, default=None)
     c.set_defaults(fn=cmd_take)
 
     c = sub.add_parser("denote", help="print a denotation at a stage index")
     c.add_argument("file")
     c.add_argument("name")
-    c.add_argument("stage", nargs="?", type=int, default=None)
-    c.add_argument("--index", type=int, default=None)
+    c.add_argument("stage", nargs="?", type=_count, default=None)
+    c.add_argument("--index", type=_count, default=None)
     c.set_defaults(fn=cmd_denote)
 
     c = sub.add_parser("bde-compile", help="compile a behavioural equation")
@@ -284,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("file")
     c.add_argument("name")
     c.add_argument("args", nargs="*", help="argument streams: zeros, toggle, nats")
-    c.add_argument("--n", type=int, default=None)
-    c.add_argument("--fuel", type=int, default=None)
+    c.add_argument("--n", type=_count, default=None)
+    c.add_argument("--fuel", type=_count, default=None)
     c.set_defaults(fn=cmd_bde_run)
 
     c = sub.add_parser("repl", help="interactive session")

@@ -2,8 +2,12 @@
 
 Every error carries a stable machine-readable ``code`` plus a human
 message; ``render()`` produces the one-line form used by the CLI,
-with a source span when one is known.
+with a source span when one is known.  ``nesting_guard`` turns a
+``RecursionError`` into ``NestingTooDeep`` at the recursive entry
+points (the parsers and the type checker).
 """
+
+import functools
 
 
 class GlamError(Exception):
@@ -77,6 +81,20 @@ class NestingTooDeep(GlamError):
     """The input is nested deeper than the Python stack allows."""
 
     code = "NestingTooDeep"
+
+
+def nesting_guard(fn):
+    """Make an entry point raise NestingTooDeep, not RecursionError, on
+    input nested deeper than the Python stack allows."""
+
+    @functools.wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except RecursionError:
+            raise NestingTooDeep("input nested too deeply to process") from None
+
+    return guarded
 
 
 class DenotError(GlamError):

@@ -57,12 +57,11 @@ definition names never show up in explicit substitution lists.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NestingTooDeep, ParseError
+from .errors import ParseError, nesting_guard
 from .syntax import (
     NAT,
     PRIMITIVES,
@@ -542,20 +541,6 @@ class _Parser(TokenCursor):
         t = self.peek()
         if t[0] != "eof":
             raise ParseError(f"unexpected {t[1] or t[0]!r} after {what}", t[2:])
-
-
-def nesting_guard(parse):
-    """Make a parse entry point raise NestingTooDeep, not RecursionError,
-    on input nested deeper than the Python stack allows."""
-
-    @functools.wraps(parse)
-    def guarded(*args, **kwargs):
-        try:
-            return parse(*args, **kwargs)
-        except RecursionError:
-            raise NestingTooDeep("input nested too deeply to process") from None
-
-    return guarded
 
 
 @nesting_guard

@@ -1,11 +1,21 @@
 """Type well-formedness, constancy, guardedness, metrics, and the
 bidirectional checker.
 
-``elaborate`` is the engine: it checks a term against an expected type
-(or synthesizes one) and returns the term with every binder and
-constructor annotation filled in.  On an elaborated term every node
-synthesizes, which is what the subject-reduction and denotational
-machinery rely on.  ``infer`` and ``check`` are thin wrappers.
+``elaborate`` is the surface checker: it checks a term against an
+expected type (or synthesizes one) and returns the term with every
+binder and constructor annotation filled in.  On an elaborated term
+every node synthesizes, which is what the subject-reduction and
+denotational machinery rely on; ``check`` is ``elaborate`` against a
+given type.
+
+``infer`` types a term by synthesis alone (``_syn``), with the rules of
+``elaborate``'s synthesis mode, and builds no term nodes.  The type of
+a closed node is cached on it as ``_ty``, so consecutive reducts, which
+share almost all of their closed subtrees, are typed in time
+proportional to their new nodes.  Where synthesis alone does not settle
+the question (a missing annotation, an ascription, any mismatch or
+ill-formed annotation) ``_syn`` gives up and ``infer`` returns what
+``elaborate`` says, so every error comes from ``elaborate``.
 
 A typing context is an ordered mapping from term variables to closed
 well-formed types.
@@ -26,6 +36,7 @@ from .errors import (
     UnboundTypeVar,
     UnboundVariable,
     UnguardedMu,
+    nesting_guard,
 )
 from .syntax import (
     NAT,
@@ -177,6 +188,7 @@ def _agree(annot, want, what, loc):
     return annot if annot is not None else want
 
 
+@nesting_guard
 def elaborate(ctx, t: Term, want: Type | None = None):
     """Bidirectionally type t, returning (annotated term, its type).
 
@@ -189,10 +201,16 @@ def elaborate(ctx, t: Term, want: Type | None = None):
     return out, ty
 
 
+@nesting_guard
 def infer(ctx, t: Term) -> Type:
-    return elaborate(ctx, t)[1]
+    """The type of t, by synthesis; see the module docstring."""
+    try:
+        return _syn(ctx, t)
+    except (_Fallback, TypingError):
+        return elaborate(ctx, t)[1]
 
 
+@nesting_guard
 def check(ctx, t: Term, a: Type) -> None:
     elaborate(ctx, t, a)
 
@@ -448,6 +466,172 @@ def _elab_subst(ctx, t, sig, body):
             t.loc,
         )
     return tuple(sig2), ctx2
+
+
+# ---------------------------------------------------------------------------
+# Synthesis on elaborated terms (infer's fast path)
+
+
+class _Fallback(Exception):
+    """Synthesis alone cannot type this term; ask ``elaborate``."""
+
+
+def _syn(ctx, t):
+    """The type of t by synthesis, cached as ``_ty`` on closed nodes.
+
+    Raises _Fallback (or a wf_type error) where ``elaborate`` would
+    need its checking mode or would fail; nothing is cached then.
+    """
+    try:
+        fv = t._fv
+    except AttributeError:
+        fv = free_vars(t)
+    if not fv:
+        try:
+            return t._ty
+        except AttributeError:
+            pass
+    rule = _SYN.get(t.__class__)
+    if rule is None:
+        raise _Fallback
+    ty = rule(ctx, t)
+    if not fv:
+        object.__setattr__(t, "_ty", ty)
+    return ty
+
+
+def _same(a, b):
+    if a is not b and not type_alpha_eq(a, b):
+        raise _Fallback
+
+
+def _is(ty, cls):
+    if ty.__class__ is not cls:
+        raise _Fallback
+    return ty
+
+
+def _annot(t):
+    """The annotation of a lambda or inl/inr/fold/abort, well-formed."""
+    a = t.annot
+    if a is None:
+        raise _Fallback
+    wf_type((), a)
+    return a
+
+
+def _syn_var(ctx, t):
+    ty = ctx.get(t.name)
+    if ty is None:
+        raise _Fallback
+    return ty
+
+
+def _syn_succ(ctx, t):
+    _same(_syn(ctx, t.body), NAT)
+    return NAT
+
+
+def _syn_case(ctx, t):
+    ts = _is(_syn(ctx, t.scrut), Sum)
+    c1 = _syn({**ctx, t.var1: ts.left}, t.arm1)
+    _same(_syn({**ctx, t.var2: ts.right}, t.arm2), c1)
+    return c1
+
+
+def _syn_lam(ctx, t):
+    a = _annot(t)
+    return Arrow(a, _syn({**ctx, t.var: a}, t.body))
+
+
+def _syn_app(ctx, t):
+    tf = _is(_syn(ctx, t.fun), Arrow)
+    _same(_syn(ctx, t.arg), tf.dom)
+    return tf.cod
+
+
+def _syn_inj(side):
+    def rule(ctx, t):
+        a = _is(_annot(t), Sum)
+        _same(_syn(ctx, t.body), getattr(a, side))
+        return a
+
+    return rule
+
+
+def _syn_fold(ctx, t):
+    a = _is(_annot(t), Mu)
+    _same(_syn(ctx, t.body), _mu_unfold(a))
+    return a
+
+
+def _syn_abort(ctx, t):
+    a = _annot(t)
+    _same(_syn(ctx, t.body), VOID)
+    return a
+
+
+def _syn_later_app(ctx, t):
+    tf = _is(_syn(ctx, t.fun), Later)
+    f = _is(tf.body, Arrow)
+    _same(_is(_syn(ctx, t.arg), Later).body, f.dom)
+    return Later(f.cod)
+
+
+def _syn_prim(ctx, t):
+    prim = PRIMITIVES.get(t.name)
+    if prim is None or prim.arity != len(t.args):
+        raise _Fallback
+    for a in t.args:
+        _same(_syn(ctx, a), NAT)
+    return NAT
+
+
+def _syn_body(ctx, t):
+    """The type of the body of prev/box/boxp, under its substitution.
+
+    The body sees only the listed variables, so an escaping variable is
+    unbound there and falls back like any other unbound variable.
+    """
+    ctx2 = {}
+    for x, u in t.subst:
+        if x in ctx2:
+            raise _Fallback
+        tu = ctx2[x] = _syn(ctx, u)
+        if not is_constant(tu):
+            raise _Fallback
+    return _syn(ctx2, t.body)
+
+
+def _syn_box_sum(ctx, t):
+    tb = _is(_syn_body(ctx, t), Sum)
+    return Sum(Box(tb.left), Box(tb.right))
+
+
+_SYN = {
+    Var: _syn_var,
+    Zero: lambda ctx, t: NAT,
+    Succ: _syn_succ,
+    UnitVal: lambda ctx, t: UNIT,
+    Pair: lambda ctx, t: Prod(_syn(ctx, t.left), _syn(ctx, t.right)),
+    Proj1: lambda ctx, t: _is(_syn(ctx, t.body), Prod).left,
+    Proj2: lambda ctx, t: _is(_syn(ctx, t.body), Prod).right,
+    Abort: _syn_abort,
+    In1: _syn_inj("left"),
+    In2: _syn_inj("right"),
+    Case: _syn_case,
+    Lam: _syn_lam,
+    App: _syn_app,
+    Fold: _syn_fold,
+    Unfold: lambda ctx, t: _mu_unfold(_is(_syn(ctx, t.body), Mu)),
+    Next: lambda ctx, t: Later(_syn(ctx, t.body)),
+    LaterApp: _syn_later_app,
+    Prev: lambda ctx, t: _is(_syn_body(ctx, t), Later).body,
+    BoxI: lambda ctx, t: Box(_syn_body(ctx, t)),
+    Unbox: lambda ctx, t: _is(_syn(ctx, t.body), Box).body,
+    BoxSum: _syn_box_sum,
+    Prim: _syn_prim,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,31 @@ def test_zero_arguments_are_kept(capsys, argv, code, out, err):
     assert captured.err.startswith(err)
 
 
+@pytest.mark.parametrize(
+    "argv, arg",
+    [
+        (["take", str(PRELUDE_PATH), "toggle", "-3"], "count"),
+        (["take", str(PRELUDE_PATH), "toggle", "--n", "-3"], "--n"),
+        (["take", str(PRELUDE_PATH), "toggle", "--fuel", "-3"], "--fuel"),
+        (["run", str(PRELUDE_PATH), "toggle", "--fuel", "-3"], "--fuel"),
+        (["denote", str(PRELUDE_PATH), "toggle", "-2"], "stage"),
+        (["denote", str(PRELUDE_PATH), "toggle", "--index", "-2"], "--index"),
+        (["bde-run", str(PROGRAMS / "streams.bde"), "plus", "zeros", "zeros", "--n", "-1"], "--n"),
+        (["bde-run", str(PROGRAMS / "streams.bde"), "plus", "zeros", "zeros", "--fuel", "-1"], "--fuel"),
+    ],
+)
+def test_negative_arguments_are_usage_errors(capsys, argv, arg):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {arg}: must be a non-negative integer, not '-" in captured.err
+
+
+def test_non_integer_argument_message_is_unchanged(capsys):
+    assert main(["take", str(PRELUDE_PATH), "toggle", "--n", "abc"]) == 2
+    assert "error: argument --n: invalid int value: 'abc'" in capsys.readouterr().err
+
+
 def test_bde_run_zero_rows(capsys):
     argv = ["bde-run", str(PROGRAMS / "streams.bde"), "plus", "zeros", "zeros", "--n", "0"]
     assert main(argv) == 0

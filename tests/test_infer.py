@@ -1,0 +1,199 @@
+"""``infer``'s synthesis path agrees with ``elaborate``, the reference
+checker it speeds up: the same type on every reduct of the corpus, and
+the same error wherever ``elaborate`` rejects."""
+
+import dataclasses
+from functools import lru_cache
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+import corpus
+from glam import machine as M
+from glam import typecheck as TC
+from glam.errors import GlamError
+from glam.frontend import parse_type
+from glam.syntax import (
+    NAT,
+    SHAPES,
+    SUBST,
+    TERM,
+    TERMS,
+    UNIT,
+    VOID,
+    Abort,
+    Box,
+    Case,
+    Fold,
+    In1,
+    In2,
+    Lam,
+    Later,
+    Var,
+    free_vars,
+    type_alpha_eq,
+)
+
+
+def _outcome(ctx, t):
+    """What infer and elaborate make of t: for each, the type it returned
+    or the error it raised, as (class, code, message, location)."""
+    out = []
+    for f in (TC.infer, lambda ctx, t: TC.elaborate(ctx, t)[1]):
+        try:
+            out.append(f(ctx, t))
+        except GlamError as e:
+            out.append((type(e), e.code, e.message, e.loc))
+    return out
+
+
+def _agree(got, want) -> bool:
+    if isinstance(got, tuple) or isinstance(want, tuple):
+        return got == want
+    return type_alpha_eq(got, want)
+
+
+def test_infer_matches_elaborate_on_every_corpus_reduct(monkeypatch):
+    elaborate = TC.elaborate
+    fallbacks = []
+
+    def counting(ctx, t, want=None):
+        fallbacks.append(t)
+        return elaborate(ctx, t, want)
+
+    monkeypatch.setattr(TC, "elaborate", counting)
+    total = 0
+    for name, t, ty in corpus.sr_corpus():
+        for u in M.trace(elaborate({}, t, ty)[0], 10**6, pre_erase=False):
+            got = TC.infer({}, u)
+            assert type_alpha_eq(got, elaborate({}, u)[1]), name
+            assert type_alpha_eq(got, ty), name
+            total += 1
+    assert total >= 10**4
+    assert fallbacks == []
+
+
+def test_infer_raises_what_elaborate_raises():
+    cases = list(corpus.ILL_TYPED)
+    for name, src, code in corpus.ILL_FORMED_TYPES:
+        cases.append((name, f"\\x : {src}. x", code))
+        cases.append((name, f"inl[({src}) + Nat] 0", code))
+    for name, src, code in cases:
+        got, want = _outcome({}, corpus.term(src))
+        assert isinstance(want, tuple) and want[1] == code, name
+        assert got == want, name
+
+
+# ---------------------------------------------------------------------------
+# Mutated reducts: one subterm replaced by a closed term or a variable,
+# one annotation changed, or one substituted variable listed twice.
+
+
+def _positions(t, path=(), names=(), parent=None):
+    """(path, node, names bound above it, parent class) for every
+    subterm of t.
+
+    ``names`` ignores the scoping of explicit substitutions on purpose,
+    so that a variable drawn from it may escape a prev/box body.
+    """
+    yield path, t, names, parent
+    inner, cls = names, t.__class__
+    for field, kind in SHAPES[cls]:
+        v = getattr(t, field)
+        if kind is TERM:
+            if cls is Case:
+                inner = names + ((t.var1,) if field == "arm1" else (t.var2,) if field == "arm2" else ())
+            elif cls is Lam:
+                inner = names + (t.var,)
+            yield from _positions(v, path + ((field, None),), inner, cls)
+        elif kind is SUBST:
+            for i, (x, u) in enumerate(v):
+                yield from _positions(u, path + ((field, i),), names, cls)
+            inner = names + tuple(x for x, _ in v)
+        elif kind is TERMS:
+            for i, a in enumerate(v):
+                yield from _positions(a, path + ((field, i),), names, cls)
+
+
+def _replace_at(t, path, f):
+    """t with the node at path replaced by f(node); new nodes on the spine."""
+    if not path:
+        return f(t)
+    (field, i), rest = path[0], path[1:]
+    v = getattr(t, field)
+    if i is None:
+        new = _replace_at(v, rest, f)
+    elif isinstance(v[i], tuple):
+        new = v[:i] + ((v[i][0], _replace_at(v[i][1], rest, f)),) + v[i + 1:]
+    else:
+        new = v[:i] + (_replace_at(v[i], rest, f),) + v[i + 1:]
+    return dataclasses.replace(t, **{field: new})
+
+
+_PROBES = [
+    "hd (tl (box toggle))",
+    "second (box paperfolds)",
+    "case (pred (box infinity)) of inl u -> 0 | inr m -> 1",
+    "case (boxp (inl[Nat + Unit] 5)) of inl b -> unbox b | inr u -> 0",
+    "hd (lift2 (box interleave') (box toggle) (box zeros))",
+    "case (inr[Void + Nat] 6) of inl v -> abort[Nat] v | inr n -> n",
+    "prev (secondg toggle)",
+    "hdg (final (\\x. (x, next (succ x))) 3)",
+    "(\\f : Nat -> Nat. \\x : Nat. f (f (f x))) (\\y. addN y 2) 1",
+    "hd (tl (mapConst (\\x. succ x) (box toggle)))",
+    "prev{x<-3}. next x",
+]
+
+
+_ANNOTATED = (Lam, In1, In2, Fold, Abort)
+
+
+@lru_cache(maxsize=None)
+def _pool():
+    """The sites of each kind of mutation in the elaborated reducts of the
+    probes, grouped by the class of the node and of its parent (so that
+    rare classes are drawn as often as common ones), and the annotations
+    and closed subterms to mutate them with."""
+    sites = {"closed": {}, "var": {}, "annot": {}, "repeat": {}}
+    annots, closed = [NAT, UNIT, VOID, Later(NAT), Box(NAT), None], []
+    for src in _PROBES:
+        tr = M.trace(TC.elaborate({}, corpus.term(src))[0], 10**4, pre_erase=False)
+        for u in tr[:: max(1, len(tr) // 12)]:
+            pos = list(_positions(u))
+            for path, v, names, parent in pos if len(pos) <= 400 else ():
+                groups = [v.__class__.__name__, f"in {parent.__name__}" if parent else "top"]
+                kinds = ["closed"] + ["var"] * bool(names) + ["annot"] * isinstance(v, _ANNOTATED)
+                kinds += ["repeat"] * bool(getattr(v, "subst", ()))
+                for kind in kinds:
+                    for g in groups:
+                        sites[kind].setdefault(g, []).append((u, path, names))
+            for _, v, _, _ in pos:
+                annot = getattr(v, "annot", None)
+                if annot is not None and all(annot is not a for a in annots):
+                    annots.append(annot)
+                if not free_vars(v) and len(closed) < 200:
+                    closed.append(v)
+    annots += [parse_type(src) for _, src, _ in corpus.ILL_FORMED_TYPES]
+    return {k: sorted(g.items()) for k, g in sites.items()}, annots, closed
+
+
+@given(st.data())
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_infer_agrees_with_elaborate_on_mutated_reducts(data):
+    sites, annots, closed = _pool()
+    kind = data.draw(st.sampled_from(sorted(sites)))
+    _, group = data.draw(st.sampled_from(sites[kind]))
+    u, path, names = data.draw(st.sampled_from(group))
+    if kind == "closed":
+        new = data.draw(st.sampled_from(closed))
+        mutant = _replace_at(u, path, lambda _: new)
+    elif kind == "var":
+        new = Var(data.draw(st.sampled_from(names)))
+        mutant = _replace_at(u, path, lambda _: new)
+    elif kind == "annot":
+        a = data.draw(st.sampled_from(annots))
+        mutant = _replace_at(u, path, lambda v: dataclasses.replace(v, annot=a))
+    else:  # a substituted variable listed twice
+        mutant = _replace_at(u, path, lambda v: dataclasses.replace(v, subst=v.subst + v.subst[:1]))
+    got, want = _outcome({}, mutant)
+    assert _agree(got, want), kind

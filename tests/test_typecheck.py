@@ -6,6 +6,7 @@ import corpus
 from glam.errors import (
     CannotSynthesize,
     EscapingVariable,
+    NestingTooDeep,
     NonConstantSubstType,
     OpenBox,
     TypeMismatch,
@@ -25,6 +26,7 @@ from glam.syntax import (
     Prod,
     Sum,
     TVar,
+    UnitVal,
     type_alpha_eq,
     type_subst,
 )
@@ -292,3 +294,30 @@ def test_closed_subterm_memo_is_per_expected_type():
             check({}, ident, NAT)
         with pytest.raises(CannotSynthesize):
             infer({}, ident)
+
+
+def test_infer_caches_types_on_closed_nodes_only():
+    from glam.syntax import App, Lam, Succ, Var, Zero
+
+    body = Succ(Var("x"))
+    t = App(Lam("x", NAT, body), Succ(Zero()))
+    assert infer({}, t) is NAT
+    assert t._ty is NAT and t.fun._ty.cod is NAT and t.arg._ty is NAT
+    assert "_ty" not in body.__dict__  # open: its type depends on the context
+    bad = App(Lam("x", NAT, body), UnitVal())
+    with pytest.raises(TypeMismatch):
+        infer({}, bad)
+    assert "_ty" not in bad.__dict__
+
+
+def test_deep_terms_raise_nesting_too_deep():
+    from glam.denot import den_nat
+    from glam.syntax import Succ, Zero
+
+    deep = Zero()
+    for _ in range(150_000):
+        deep = Succ(deep)
+    with pytest.raises(NestingTooDeep):
+        infer({}, deep)
+    with pytest.raises(NestingTooDeep):
+        den_nat(deep, 1)
