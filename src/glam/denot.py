@@ -21,8 +21,19 @@ those elements directly:
 ``next t`` at stage i+1 is computed by evaluating t at stage i under
 the restricted environment (equal to restricting the stage-i+1 value,
 by naturality).  Stage 1 of any later type is trivial and evaluates
-nothing, which is why every guarded fixed point unwinds in finitely
-many steps here.
+nothing.
+
+Guarded fixed points are built as the topos of trees builds them: the
+fixed point of f : |>T -> T is f applied to the star at stage 1, and f
+applied at stage k to its own value at stage k-1 above that.
+``fix[T]`` is ``frontend.fix_term``, a guarded Turing combinator whose
+App node carries the mark ``_fix``.  The App rule denotes a marked
+node at stage i as the function ``_fixpoint``, which iterates f from
+stage 1 up to the stage it is called at, so theta's lambdas and
+``<*>``s are never denoted.  The node is closed, so the closed-subterm
+memo keeps one such value per stage.  An unmarked copy of the term
+denotes the same elements by the plain App rule, one unrolling of
+theta per stage; that path is the reference the tests compare with.
 
 Values are tagged and mu-types are transparent, so a value's shape
 alone determines its restriction map (``restrict``): pairs and
@@ -49,7 +60,7 @@ import sys
 from contextvars import ContextVar
 from dataclasses import dataclass
 
-from .errors import DepthExceeded, DenotError, IndexZero, TypingError
+from .errors import DepthExceeded, DenotError, IndexZero, TypingError, nesting_guard
 from .syntax import (
     NAT,
     PRIMITIVES,
@@ -322,6 +333,7 @@ def _charge(st: _Sess, level: int) -> None:
 # Term denotation
 
 
+@nesting_guard
 def den_term(
     ctx,
     t: Term,
@@ -337,6 +349,11 @@ def den_term(
     omitted for closed terms.  t is type-checked against a first,
     unless ``elaborated`` says it already has been (e.g. a reduct of
     an elaborated term).
+
+    One level of ``depth_limit`` is one nested ``_den`` call: a
+    subterm's denotation inside its parent's, or a function body's
+    inside the call that applies the function.  A memo hit counts the
+    levels its computation reached, as recomputing it would.
     """
     if i < 1:
         raise IndexZero(f"denotation at stage {i}")
@@ -464,6 +481,20 @@ def _box_sum(t, i, env):
     return SIn(tag, SGlobal(lambda j: g.at(j).val))
 
 
+def _app(t, i, env):
+    if "_fix" in t.__dict__:  # fix[T]: see the module docstring
+        return SFun(_fixpoint, i)
+    return _den(t.fun, i, env).call(i, _den(t.arg, i, env))
+
+
+def _fixpoint(j, f):
+    """The fixed point of f : |>T -> T at stage j, built up the stages."""
+    v = f.call(1, SLATERSTAR)
+    for k in range(2, j + 1):
+        v = f.call(k, SLater(v))
+    return v
+
+
 def _prim(t, i, env):
     return SNat(PRIMITIVES[t.name].op(*[_den(a, i, env).n for a in t.args]))
 
@@ -481,7 +512,7 @@ _RULES = {
     In2: lambda t, i, env: SIn(2, _den(t.body, i, env)),
     Case: _case,
     Lam: _lam,
-    App: lambda t, i, env: _den(t.fun, i, env).call(i, _den(t.arg, i, env)),
+    App: _app,
     Fold: _body,
     Unfold: _body,
     Next: _next,

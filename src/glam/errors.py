@@ -4,7 +4,8 @@ Every error carries a stable machine-readable ``code`` plus a human
 message; ``render()`` produces the one-line form used by the CLI,
 with a source span when one is known.  ``nesting_guard`` turns a
 ``RecursionError`` into ``NestingTooDeep`` at the recursive entry
-points (the parsers and the type checker).
+points (the parsers, the type checker, ``machine.eval_term`` and
+``observe_nat``, and ``denot.den_term``).
 """
 
 import functools

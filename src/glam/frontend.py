@@ -253,6 +253,12 @@ class Program:
 # theta = \y:|>Rec_T. \f:|>T -> T.
 #           f ((next \z:Rec_T. unfold z) <*> y <*> next y <*> next f)
 # fix_term(T) = theta (next (fold[Rec_T] theta))   : (|>T -> T) -> T
+#
+# The App node it returns carries the mark ``_fix`` (set like ``_fv``,
+# and just as invisible to printing, alpha_eq and the machines).  It
+# has two readers: ``typecheck._elab1`` copies it onto the node it
+# rebuilds, and ``denot`` denotes a marked node by iterating the fixed
+# point up the stages instead of unrolling theta.
 
 
 def fix_term(ty: Type) -> Term:
@@ -262,7 +268,9 @@ def fix_term(ty: Type) -> Term:
         LaterApp(LaterApp(Next(unf), Var("y")), Next(Var("y"))), Next(Var("f"))
     )
     theta = Lam("y", Later(rec), Lam("f", Arrow(Later(ty), ty), App(Var("f"), chain)))
-    return App(theta, Next(Fold(rec, theta)))
+    t = App(theta, Next(Fold(rec, theta)))
+    object.__setattr__(t, "_fix", True)
+    return t
 
 
 # ---------------------------------------------------------------------------

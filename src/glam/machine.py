@@ -40,7 +40,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .errors import FuelExhaustedError, StuckError
+from .errors import FuelExhaustedError, StuckError, nesting_guard
 from .syntax import (
     PRIMITIVES,
     SHAPES,
@@ -681,6 +681,7 @@ def _need(t: Term, env: dict, fuel: int, memo: dict, stack=None):
 # Drivers
 
 
+@nesting_guard
 def eval_term(t: Term, fuel: int = DEFAULT_FUEL, pre_erase: bool = True) -> EvalOutcome:
     """Iterate step until a value or the fuel runs out."""
     if pre_erase:
@@ -714,6 +715,7 @@ def _force_value(t: Term, fuel: int, pre_erase: bool = True) -> Term:
     return out.term
 
 
+@nesting_guard
 def observe_nat(t: Term, fuel: int = DEFAULT_FUEL, pre_erase: bool = True) -> int:
     """Evaluate a closed term of type Nat and decode the numeral."""
     v = _force_value(t, fuel, pre_erase)

@@ -350,7 +350,10 @@ def _elab1(ctx, t, want):
             if not isinstance(tf, Arrow):
                 raise _mismatch("application of a non-function", t.loc)
             a2, _ = _elab(ctx, a, tf.dom)
-            return _done(App(f2, a2, loc=t.loc), tf.cod, want, t.loc)
+            t2 = App(f2, a2, loc=t.loc)
+            if "_fix" in t.__dict__:  # frontend.fix_term's mark
+                object.__setattr__(t2, "_fix", True)
+            return _done(t2, tf.cod, want, t.loc)
         case Fold(a0, b):
             target = _agree(a0, want, "fold", t.loc)
             if target is None:

@@ -11,18 +11,41 @@ from glam.denot import (
     SLater,
     SNat,
     SPair,
+    SUNIT,
     den_nat,
     den_take,
     den_term,
     restrict,
     sem_eq,
 )
+from glam.bde import compile_bde, parse_bde
 from glam.errors import DepthExceeded, IndexZero, TypingError
 from glam.machine import observe_nat, take_stream, trace
-from glam import typecheck
-from glam.frontend import parse_program
+from glam import frontend, typecheck
+from glam.frontend import fix_term, parse_program, pretty
 from glam.prelude import PRELUDE_PATH
-from glam.syntax import NAT, STREAM_G, Arrow, Box, Later, Prod, Unbox, numeral
+from glam.syntax import (
+    NAT,
+    SHAPES,
+    STREAM_G,
+    SUBST,
+    TERM,
+    TERMS,
+    App,
+    Arrow,
+    Ascribe,
+    Box,
+    Later,
+    Next,
+    Pair,
+    Prod,
+    Unbox,
+    Var,
+    alpha_eq,
+    free_vars,
+    numeral,
+    subst,
+)
 from glam.typecheck import elaborate
 
 
@@ -311,11 +334,16 @@ def _heads(v, i):
     return out
 
 
+def _fresh_env():
+    """The prelude and the test helpers parsed afresh, so that no
+    closed-subterm memo filled elsewhere answers for their nodes."""
+    return parse_program(corpus._HELPERS_SRC, base=parse_program(PRELUDE_PATH.read_text())).env()
+
+
 def test_denotation_infers_no_types(monkeypatch):
     # Fresh prelude nodes, so that no closed-subterm memo filled by an
     # earlier test answers for them.
-    fresh = parse_program(corpus._HELPERS_SRC, base=parse_program(PRELUDE_PATH.read_text()))
-    monkeypatch.setattr(corpus, "ENV", fresh.env())
+    monkeypatch.setattr(corpus, "ENV", _fresh_env())
     streams = [(name, _elab_stream(corpus.term(src)), oracle) for name, src, oracle in corpus.STREAMS]
     nats = [(name, elaborate({}, t, NAT)[0], want) for name, t, want in corpus.nat_corpus()]
 
@@ -331,3 +359,158 @@ def test_denotation_infers_no_types(monkeypatch):
     for name, t, want in nats:
         for i in (1, 3):
             assert den_term({}, t, NAT, i, elaborated=True).n == want, (name, i)
+
+
+# ---------------------------------------------------------------------------
+# fix[T]: the marked node and its fixed-point rule
+
+
+def _dump(v):
+    """A first-order semantic value read in full, as nested tuples."""
+    if isinstance(v, SNat):
+        return v.n
+    if isinstance(v, SPair):
+        return (_dump(v.left), _dump(v.right))
+    if isinstance(v, SIn):
+        return (v.tag, _dump(v.val))
+    if isinstance(v, SLater):
+        return ("next", _dump(v.val))
+    if v is SLATERSTAR or v is SUNIT:
+        return repr(v)
+    raise TypeError(f"not a first-order value: {v!r}")
+
+
+def _fixpoint_queries():
+    """Every gate query, on fresh nodes: (query, value or error code)."""
+    out = []
+
+    def ask(key, fn):
+        try:
+            out.append((key, fn()))
+        except DepthExceeded as e:
+            out.append((key, e.code))
+
+    for name, src, _ in corpus.STREAMS:
+        t = corpus.term(src)
+        for i in range(1, (16 if name == "diag-rows" else 24) + 1):
+            ask(("take", name, i), lambda: den_take(t, i))
+    for name, t, _ in corpus.nat_corpus():
+        for i in (1, 3):
+            ask(("nat", name, i), lambda: den_nat(t, i))
+    for name, fx, phi, args, _ in corpus.FIX_LAW:
+        # fix_law_sides's two sides, with phi ascribed and its successor
+        # lambda annotated, so that the right side type-checks too
+        fx = corpus.term(fx)
+        fty = elaborate({}, fx)[1]
+        phi = corpus.term(phi.replace("\\x. succ x", "\\x : Nat. succ x"))
+        lhs, rhs = fx, App(Ascribe(phi, Arrow(Later(fty), fty)), Next(fx))
+        for a in args:
+            lhs, rhs = App(lhs, corpus.term(a)), App(rhs, corpus.term(a))
+        lhs, ty = elaborate({}, lhs)
+        for side, t in (("lhs", lhs), ("rhs", elaborate({}, rhs, ty)[0])):
+            for i in range(1, 9):
+                ask(("law", name, side, i), lambda: _dump(den_term({}, t, ty, i, elaborated=True)))
+    return out
+
+
+def _count_fixpoints(monkeypatch):
+    """A list that grows by one at each call of the fixed-point rule."""
+    calls = []
+    fixpoint = denot._fixpoint
+    monkeypatch.setattr(denot, "_fixpoint", lambda j, f: calls.append(j) or fixpoint(j, f))
+    return calls
+
+
+def test_fixpoint_rule_matches_y_combinator(monkeypatch):
+    calls = _count_fixpoints(monkeypatch)
+    monkeypatch.setattr(corpus, "ENV", _fresh_env())
+    fast = _fixpoint_queries()
+    assert calls, "the fixed-point rule was never used"
+
+    def plain_app(t, i, env):  # the App rule without the fix[T] case
+        return denot._den(t.fun, i, env).call(i, denot._den(t.arg, i, env))
+
+    monkeypatch.setitem(denot._RULES, App, plain_app)
+    monkeypatch.setattr(corpus, "ENV", _fresh_env())
+    calls.clear()
+    reference = _fixpoint_queries()
+    assert not calls
+    assert len(fast) == len(reference)
+    for got, want in zip(fast, reference):
+        assert got == want
+
+
+def _marked_nodes(t):
+    """The distinct nodes of t that carry fix_term's mark."""
+    out, seen, todo = [], set(), [t]
+    while todo:
+        u = todo.pop()
+        if id(u) in seen:
+            continue
+        seen.add(id(u))
+        if "_fix" in u.__dict__:
+            out.append(u)
+        for name, kind in SHAPES[u.__class__]:
+            v = getattr(u, name)
+            if kind == TERM:
+                todo.append(v)
+            elif kind == TERMS:
+                todo.extend(v)
+            elif kind == SUBST:
+                todo.extend(w for _, w in v)
+    return out
+
+
+def test_fix_mark_survives_elaborate_subst_and_reduction(monkeypatch):
+    fx, phi = fix_term(STREAM_G), _t("\\s. consg 0 s")
+    assert _marked_nodes(fx) == [fx]
+    t, _ = elaborate({}, App(fx, phi))
+    m = t.fun
+    assert _marked_nodes(t) == [m] and m is not fx
+    # a second elaboration of fx is answered by its closed-node memo
+    assert elaborate({}, Pair(App(fx, phi), numeral(0)))[0].left.fun is m
+    # subst shares closed nodes, the marked one included
+    assert subst(Pair(m, Var("x")), {"x": numeral(1)}).left is m
+    # the reducts keep the very node until it is beta-reduced
+    tr = trace(elaborate({}, App(_t("hdg"), App(fx, phi)))[0], pre_erase=False)
+    marks = [_marked_nodes(u) for u in tr]
+    k = marks.index([])
+    assert k >= 2 and marks[:k] == [[m]] * k and not any(marks[k:])
+    assert {den_nat(u, 3, elaborated=True) for u in tr} == {0}
+    # the BDE compiler's fix node gets the fixed-point rule too
+    calls = _count_fixpoints(monkeypatch)
+    plus = compile_bde(parse_bde("bde plus(2) { head = x1 + x2; tail = plus(z1, z2); }"), "plus")
+    assert _marked_nodes(plus.guarded) == [plus.guarded.fun]
+    t = App(App(plus.guarded, _t("toggle")), _t("iterate' (\\x. succ x) 0"))
+    assert den_take(t, 6) == take_stream(t, 6) == [1, 1, 3, 3, 5, 5]
+    assert calls
+
+
+def test_fix_mark_is_invisible(monkeypatch):
+    fx = fix_term(STREAM_G)
+    plain = App(fx.fun, fx.arg)
+    assert not _marked_nodes(plain)
+    assert pretty(fx) == pretty(plain) and alpha_eq(fx, plain)
+    assert free_vars(fx) == free_vars(plain) == frozenset()
+    # the machine never reads the mark: same step counts and values
+    # on every corpus term, with and without it
+    def traces():
+        out = []
+        for name, t, ty in corpus.sr_corpus():
+            tr = trace(elaborate({}, t, ty)[0], pre_erase=False)
+            out.append((name, len(tr), pretty(tr[-1])))
+        return out
+
+    marked = traces()
+    assert _marked_nodes(corpus.term("zeros"))
+
+    def unmarked_fix_term(ty):
+        t = fix_term(ty)
+        return App(t.fun, t.arg)
+
+    monkeypatch.setattr(frontend, "fix_term", unmarked_fix_term)
+    prelude = parse_program(PRELUDE_PATH.read_text())
+    monkeypatch.setattr(corpus, "PRELUDE", prelude)
+    monkeypatch.setattr(corpus, "ENV", parse_program(corpus._HELPERS_SRC, base=prelude).env())
+    assert not _marked_nodes(corpus.term("zeros"))
+    assert traces() == marked

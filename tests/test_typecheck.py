@@ -312,6 +312,7 @@ def test_infer_caches_types_on_closed_nodes_only():
 
 def test_deep_terms_raise_nesting_too_deep():
     from glam.denot import den_nat
+    from glam.machine import eval_term, observe_nat
     from glam.syntax import Succ, Zero
 
     deep = Zero()
@@ -321,3 +322,9 @@ def test_deep_terms_raise_nesting_too_deep():
         infer({}, deep)
     with pytest.raises(NestingTooDeep):
         den_nat(deep, 1)
+    with pytest.raises(NestingTooDeep):
+        den_nat(deep, 1, elaborated=True)
+    with pytest.raises(NestingTooDeep):
+        eval_term(deep)
+    with pytest.raises(NestingTooDeep):
+        observe_nat(deep)
