@@ -23,6 +23,18 @@ the restricted environment (equal to restricting the stage-i+1 value,
 by naturality).  Stage 1 of any later type is trivial and evaluates
 nothing.
 
+``f <*> x`` is demand-driven: at stage i+1 it denotes f and x and
+returns a later value whose stage-i part, f's function applied to x's
+value, is computed when it is first read (``_force``).  Guarded
+recursion always recurses through ``<*>``, so a stream's later cells
+are built only as far as an observation reads them, and a fixed point
+built up the stages does not rebuild the whole stream at every stage.
+The first read of such a part counts as one nested level of
+``depth_limit`` below the reader and records how many levels below
+the reader it reached; every later read charges that reach, as a memo
+hit does.  A read outside ``den_term`` counts against the default
+counter (``_SESSION``).
+
 Guarded fixed points are built as the topos of trees builds them: the
 fixed point of f : |>T -> T is f applied to the star at stage 1, and f
 applied at stage k to its own value at stage k-1 above that.
@@ -57,6 +69,7 @@ memo.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 
@@ -118,12 +131,16 @@ class SemVal:
 
 
 class _Cut(SemVal):
-    """Pair, injection and later values, whose restriction is a shell.
+    """Pair, injection and later values, whose components may be
+    computed when first read.
 
     A shell made by ``restrict`` holds its source (``_src``) and stage
     cut (``_cut``) in place of the components named in ``_LAZY``.  A
     component is restricted when first read, then cached as an ordinary
-    attribute; once all are read, the shell drops its source.
+    attribute; once all are read, the shell drops its source.  A later
+    value made by ``<*>`` holds its ``val`` as ``_val`` (see ``_force``);
+    a shell over one reads its source's ``val`` afresh at every read,
+    so that every read is charged.
     """
 
     __slots__ = ()
@@ -135,8 +152,13 @@ class _Cut(SemVal):
             src = d["_src"]
             shift = self._LAZY[name]
         except KeyError:
+            if name == "val" and "_val" in d:
+                return _force(d)
             raise AttributeError(name) from None
-        w = d[name] = restrict(getattr(src, name), d["_cut"] - shift)
+        w = restrict(getattr(src, name), d["_cut"] - shift)
+        if "_val" in src.__dict__:
+            return w
+        d[name] = w
         if d.keys() >= self._LAZY.keys():
             del d["_src"], d["_cut"]
         return w
@@ -219,19 +241,24 @@ class SGlobal(SemVal):
     def at(self, j: int) -> SemVal:
         st = _SESSION.get()
         hit = self._memo.get(j)
-        if hit is not None:
-            v, reach = hit
-            _charge(st, st.depth + reach)
-            return v
-        outer_peak = st.peak
-        st.peak = st.depth
-        try:
-            v = self.fn(j)
-            self._memo[j] = (v, st.peak - st.depth)
-        finally:
-            if outer_peak > st.peak:
-                st.peak = outer_peak
-        return v
+        if hit is None:
+            hit = self._memo[j] = _measured(st, st.depth, self.fn, j)
+        else:
+            _charge(st, st.depth + hit[1])
+        return hit[0]
+
+
+def _force(d):
+    """The ``val`` of a later value made by ``<*>``.  Its ``_val`` is a
+    thunk until the first read runs it one level below the reader, and
+    then the memo entry (value, reach), which every later read charges."""
+    st = _SESSION.get()
+    got = d["_val"]
+    if got.__class__ is tuple:
+        _charge(st, st.depth + got[1])
+    else:
+        got = d["_val"] = _measured(st, st.depth + 1, got)
+    return got[0]
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +347,31 @@ class _Sess:
 _SESSION: ContextVar[_Sess] = ContextVar("denot_session", default=_Sess(DEFAULT_DEPTH))
 
 
+@contextmanager
+def _session(depth_limit):
+    """Run the block with a fresh depth counter of its own."""
+    token = _SESSION.set(_Sess(depth_limit))
+    try:
+        yield
+    finally:
+        _SESSION.reset(token)
+
+
+def _measured(st: _Sess, level: int, fn, *args):
+    """A memo entry: fn(*args) computed at nesting level ``level``, and
+    its reach, how many levels below the caller's depth it went."""
+    if level > st.limit:
+        raise DepthExceeded(f"denotation recursion deeper than {st.limit}")
+    base, outer_peak = st.depth, st.peak
+    st.depth = st.peak = level
+    try:
+        return fn(*args), st.peak - base
+    finally:
+        st.depth = base
+        if outer_peak > st.peak:
+            st.peak = outer_peak
+
+
 def _charge(st: _Sess, level: int) -> None:
     """Count a memo hit whose computation reached ``level`` as if it
     had been recomputed there."""
@@ -354,16 +406,19 @@ def den_term(
     subterm's denotation inside its parent's, or a function body's
     inside the call that applies the function.  A memo hit counts the
     levels its computation reached, as recomputing it would.
+
+    The later parts of the returned value that ``<*>`` made are
+    computed when first read (see the module docstring).  Read after
+    ``den_term`` returns, they count against the default depth counter
+    with its limit ``DEFAULT_DEPTH``, not against ``depth_limit``;
+    ``den_take`` reads its cells under ``depth_limit``.
     """
     if i < 1:
         raise IndexZero(f"denotation at stage {i}")
     t2 = t if elaborated else typecheck.elaborate(dict(ctx), t, a)[0]
     env = env if env is not None else SemEnv(i)
-    token = _SESSION.set(_Sess(depth_limit))
-    try:
+    with _session(depth_limit):
         return _den(t2, i, env)
-    finally:
-        _SESSION.reset(token)
 
 
 def _den(t: Term, i: int, env: SemEnv) -> SemVal:
@@ -373,11 +428,11 @@ def _den(t: Term, i: int, env: SemEnv) -> SemVal:
     it occurs, so its value is memoized on the (immutable, shared) node
     by stage, as ``free_vars`` caches ``_fv``; consecutive reducts of a
     term share almost all of their closed subtrees.  Each entry also
-    records how deep below the node its computation recursed, and a
+    records how deep below its caller its computation recursed, and a
     hit counts that depth against ``depth_limit`` as recomputing the
-    entry would.  Box values (``SGlobal``) charge their own per-stage
-    memo the same way, so a warm evaluation is exactly as deep as a
-    cold one.
+    entry would (``_measured``, ``_charge``).  Box values (``SGlobal``)
+    and ``<*>`` values (``_force``) charge their own memo the same way,
+    so a warm evaluation is exactly as deep as a cold one.
     """
     try:
         rule = _RULES[t.__class__]
@@ -405,20 +460,11 @@ def _den(t: Term, i: int, env: SemEnv) -> SemVal:
         memo = {}
         object.__setattr__(t, "_sem", memo)
     hit = memo.get(i)
-    if hit is not None:
-        v, reach = hit
-        _charge(st, depth + reach)
-        return v
-    outer_peak = st.peak
-    st.depth = st.peak = depth
-    try:
-        v = rule(t, i, SemEnv(i))
-        memo[i] = (v, st.peak - depth)
-    finally:
-        st.depth = depth - 1
-        if outer_peak > st.peak:
-            st.peak = outer_peak
-    return v
+    if hit is None:
+        hit = memo[i] = _measured(st, depth, rule, t, i, SemEnv(i))
+    else:
+        _charge(st, st.depth + hit[1])
+    return hit[0]
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +508,9 @@ def _later_app(t, i, env):
         return SLATERSTAR
     fv = _den(t.fun, i, env)
     av = _den(t.arg, i, env)
-    return SLater(fv.val.call(i - 1, av.val))
+    w = object.__new__(SLater)
+    w.__dict__["_val"] = lambda: fv.val.call(i - 1, av.val)
+    return w
 
 
 def _prev(t, i, env):
@@ -551,11 +599,14 @@ def den_nat(
     return den_term({}, t, NAT, i, depth_limit=depth_limit, elaborated=elaborated).n
 
 
+@nesting_guard
 def den_take(t: Term, i: int, depth_limit: int = DEFAULT_DEPTH):
     """The i-element approximation of a closed guarded stream of
     naturals, read from its denotation at stage i.
 
-    A #-ed stream is unboxed first.
+    A #-ed stream is unboxed first.  The cells are read under a depth
+    counter with the same ``depth_limit``, so computing the later ones
+    counts against it too.
     """
     try:
         v = den_term({}, t, STREAM_G, i, depth_limit=depth_limit)
@@ -565,12 +616,13 @@ def den_take(t: Term, i: int, depth_limit: int = DEFAULT_DEPTH):
         except TypingError:
             raise e from None  # t's own error, not the retry's
     out = []
-    for j in range(i, 0, -1):
-        out.append(v.left.n)
-        if j > 1:
-            v = v.right.val
-        else:
-            assert v.right is SLATERSTAR
+    with _session(depth_limit):
+        for j in range(i, 0, -1):
+            out.append(v.left.n)
+            if j > 1:
+                v = v.right.val
+            else:
+                assert v.right is SLATERSTAR
     return out
 
 

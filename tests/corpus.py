@@ -204,21 +204,21 @@ FIX_LAW = [
     (
         "mapg",
         "mapg (\\x. succ x)",
-        "(\\m. \\s. consg ((\\x. succ x) (hdg s)) (m <*> tlg s))",
+        "(\\m. \\s. consg ((\\x : Nat. succ x) (hdg s)) (m <*> tlg s))",
         ["zeros"],
         "stream",
     ),
     (
         "iterate",
         "iterate (next (\\x. succ x))",
-        "(\\g. \\x. consg x (g <*> ((next (\\x. succ x)) <*> next x)))",
+        "(\\g. \\x. consg x (g <*> ((next (\\x : Nat. succ x)) <*> next x)))",
         ["0"],
         "stream",
     ),
     (
         "iterate'",
         "iterate' (\\x. succ x)",
-        "(\\g. \\x. consg x (g <*> next ((\\x. succ x) x)))",
+        "(\\g. \\x. consg x (g <*> next ((\\x : Nat. succ x) x)))",
         ["0"],
         "stream",
     ),

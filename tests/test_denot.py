@@ -3,6 +3,7 @@ import pytest
 import corpus
 from glam import denot
 from glam.denot import (
+    DEFAULT_DEPTH,
     SLATERSTAR,
     SemEnv,
     SFun,
@@ -36,6 +37,7 @@ from glam.syntax import (
     Ascribe,
     Box,
     Later,
+    LaterApp,
     Next,
     Pair,
     Prod,
@@ -380,8 +382,9 @@ def _dump(v):
     raise TypeError(f"not a first-order value: {v!r}")
 
 
-def _fixpoint_queries():
-    """Every gate query, on fresh nodes: (query, value or error code)."""
+def _gate_queries(diag_stages=24):
+    """Every gate query, on the nodes of corpus.ENV: (query, value or
+    error code)."""
     out = []
 
     def ask(key, fn):
@@ -392,17 +395,17 @@ def _fixpoint_queries():
 
     for name, src, _ in corpus.STREAMS:
         t = corpus.term(src)
-        for i in range(1, (16 if name == "diag-rows" else 24) + 1):
+        for i in range(1, (diag_stages if name == "diag-rows" else 24) + 1):
             ask(("take", name, i), lambda: den_take(t, i))
     for name, t, _ in corpus.nat_corpus():
         for i in (1, 3):
             ask(("nat", name, i), lambda: den_nat(t, i))
     for name, fx, phi, args, _ in corpus.FIX_LAW:
-        # fix_law_sides's two sides, with phi ascribed and its successor
-        # lambda annotated, so that the right side type-checks too
+        # fix_law_sides's two sides, with phi ascribed so that the right
+        # side type-checks too
         fx = corpus.term(fx)
         fty = elaborate({}, fx)[1]
-        phi = corpus.term(phi.replace("\\x. succ x", "\\x : Nat. succ x"))
+        phi = corpus.term(phi)
         lhs, rhs = fx, App(Ascribe(phi, Arrow(Later(fty), fty)), Next(fx))
         for a in args:
             lhs, rhs = App(lhs, corpus.term(a)), App(rhs, corpus.term(a))
@@ -424,7 +427,7 @@ def _count_fixpoints(monkeypatch):
 def test_fixpoint_rule_matches_y_combinator(monkeypatch):
     calls = _count_fixpoints(monkeypatch)
     monkeypatch.setattr(corpus, "ENV", _fresh_env())
-    fast = _fixpoint_queries()
+    fast = _gate_queries(diag_stages=16)
     assert calls, "the fixed-point rule was never used"
 
     def plain_app(t, i, env):  # the App rule without the fix[T] case
@@ -433,7 +436,7 @@ def test_fixpoint_rule_matches_y_combinator(monkeypatch):
     monkeypatch.setitem(denot._RULES, App, plain_app)
     monkeypatch.setattr(corpus, "ENV", _fresh_env())
     calls.clear()
-    reference = _fixpoint_queries()
+    reference = _gate_queries(diag_stages=16)
     assert not calls
     assert len(fast) == len(reference)
     for got, want in zip(fast, reference):
@@ -514,3 +517,104 @@ def test_fix_mark_is_invisible(monkeypatch):
     monkeypatch.setattr(corpus, "ENV", parse_program(corpus._HELPERS_SRC, base=prelude).env())
     assert not _marked_nodes(corpus.term("zeros"))
     assert traces() == marked
+
+
+# ---------------------------------------------------------------------------
+# <*>: a later value computed when it is first read
+
+
+def _eager_later_app(t, i, env):  # the <*> rule that computes its value at once
+    if i == 1:
+        return SLATERSTAR
+    fv = denot._den(t.fun, i, env)
+    av = denot._den(t.arg, i, env)
+    return SLater(fv.val.call(i - 1, av.val))
+
+
+def test_demand_driven_later_app_matches_eager_rule(monkeypatch):
+    reads = []
+    force = denot._force
+    monkeypatch.setattr(denot, "_force", lambda d: reads.append(None) or force(d))
+    monkeypatch.setattr(corpus, "ENV", _fresh_env())
+    lazy = _gate_queries()
+    assert reads, "no <*> value was computed on demand"
+
+    monkeypatch.setitem(denot._RULES, LaterApp, _eager_later_app)
+    monkeypatch.setattr(corpus, "ENV", _fresh_env())
+    reads.clear()
+    eager = _gate_queries()
+    assert not reads
+    assert len(lazy) == len(eager)
+    for got, want in zip(lazy, eager):
+        assert got == want
+
+
+def _cold_depth(monkeypatch, query):
+    """The least depth_limit under which query(depth_limit) returns,
+    each try on fresh nodes."""
+    lo, hi = 1, 1000
+    while lo < hi:
+        mid = (lo + hi) // 2
+        monkeypatch.setattr(corpus, "ENV", _fresh_env())
+        try:
+            query(mid)
+            hi = mid
+        except DepthExceeded:
+            lo = mid + 1
+    return lo
+
+
+def test_warm_den_take_is_as_deep_as_cold(monkeypatch):
+    # rereading a later value charges the depth its first read reached
+    def take(limit):
+        return den_take(corpus.term("paperfolds"), 8, depth_limit=limit)
+
+    depth = _cold_depth(monkeypatch, take)
+    monkeypatch.setattr(corpus, "ENV", _fresh_env())
+    want = take(DEFAULT_DEPTH)
+    with pytest.raises(DepthExceeded):
+        take(depth - 1)
+    assert take(depth) == want
+
+
+def test_den_take_reading_counts_against_depth_limit(monkeypatch):
+    # paperfolds' later cells are computed while den_take reads them
+    def term(limit):
+        return den_term({}, corpus.term("paperfolds"), STREAM_G, 8, depth_limit=limit)
+
+    def take(limit):
+        return den_take(corpus.term("paperfolds"), 8, depth_limit=limit)
+
+    assert _cold_depth(monkeypatch, take) > _cold_depth(monkeypatch, term)
+
+
+def test_every_read_of_a_later_app_value_is_charged():
+    # a shell over a <*> value reads through to it at every read, so a
+    # reread through the shell is charged as a reread of the value is
+    t = elaborate({}, _t("next (\\x : Nat. succ x) <*> next 4"))[0]
+    v = den_term({}, t, Later(NAT), 3, elaborated=True)
+    w = restrict(v, 2)
+    assert w.val == v.val == SNat(5)
+    for u in (v, w, restrict(v, 2)):
+        with denot._session(2), pytest.raises(DepthExceeded):
+            u.val
+    with denot._session(3):
+        assert w.val == SNat(5)
+
+
+def test_diag_rows_den_calls_grow_at_most_like_stage_squared(monkeypatch):
+    calls = [0]
+    den = denot._den
+
+    def counted(t, i, env):
+        calls[0] += 1
+        return den(t, i, env)
+
+    monkeypatch.setattr(denot, "_den", counted)
+    counts = {}
+    for i in (16, 32):
+        monkeypatch.setattr(corpus, "ENV", _fresh_env())
+        calls[0] = 0
+        assert den_take(corpus.term("diag rows"), i) == [2 * k for k in range(i)]
+        counts[i] = calls[0]
+    assert counts[32] <= 2**2.2 * counts[16], counts
