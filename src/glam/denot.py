@@ -43,9 +43,15 @@ App node carries the mark ``_fix``.  The App rule denotes a marked
 node at stage i as the function ``_fixpoint``, which iterates f from
 stage 1 up to the stage it is called at, so theta's lambdas and
 ``<*>``s are never denoted.  The node is closed, so the closed-subterm
-memo keeps one such value per stage.  An unmarked copy of the term
-denotes the same elements by the plain App rule, one unrolling of
-theta per stage; that path is the reference the tests compare with.
+memo keeps one such value per stage.  A closed application ``fix[T] f``
+is memoized by stage as well, so where its stage i-1 is in the memo,
+the App rule computes stage i as f applied at stage i to ``next`` of
+that value, one call of f in place of i, and charges the entry as a
+memo hit at the node: the caller's depth plus the entry's reach.  A
+fixed point queried at ascending stages thus costs one call of f per
+stage.  An unmarked copy of the term denotes the same elements by the
+plain App rule, one unrolling of theta per stage; that path is the
+reference the tests compare with.
 
 Values are tagged and mu-types are transparent, so a value's shape
 alone determines its restriction map (``restrict``): pairs and
@@ -530,13 +536,25 @@ def _box_sum(t, i, env):
 
 
 def _app(t, i, env):
-    if "_fix" in t.__dict__:  # fix[T]: see the module docstring
+    """Application.  ``fix[T]`` itself denotes ``_fixpoint``, and a
+    closed ``fix[T] f`` whose stage i-1 is in its memo denotes f applied
+    at stage i to ``next`` of that value (see the module docstring)."""
+    if "_fix" in t.__dict__:
         return SFun(_fixpoint, i)
+    if "_fix" in t.fun.__dict__:
+        prev = t.__dict__.get("_sem", {}).get(i - 1)
+        if prev is not None:
+            # charged as a memo hit at t: the caller is one level up
+            st = _SESSION.get()
+            _charge(st, st.depth - 1 + prev[1])
+            return _den(t.arg, i, env).call(i, SLater(prev[0]))
     return _den(t.fun, i, env).call(i, _den(t.arg, i, env))
 
 
 def _fixpoint(j, f):
-    """The fixed point of f : |>T -> T at stage j, built up the stages."""
+    """The fixed point of f : |>T -> T at stage j, built up the stages
+    from the star at stage 1; ``_app`` starts from a memoized stage
+    instead where it has one."""
     v = f.call(1, SLATERSTAR)
     for k in range(2, j + 1):
         v = f.call(k, SLater(v))

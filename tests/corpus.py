@@ -16,10 +16,13 @@ from glam.syntax import (
     STREAM_G,
     UNIT,
     VOID,
+    App,
     Arrow,
+    Ascribe,
     Box,
     Later,
     Mu,
+    Next,
     Prev,
     Prod,
     Proj1,
@@ -29,6 +32,7 @@ from glam.syntax import (
     Term,
     Unfold,
 )
+from glam.typecheck import elaborate
 
 PRELUDE = load_prelude()
 
@@ -275,12 +279,17 @@ FIX_LAW = [
 
 
 def fix_law_sides(name):
+    """(fix phi args, phi (next (fix phi)) args, observation kind), with
+    phi ascribed |>T -> T for the type T of fix phi, so that both sides
+    elaborate; an ascription is transparent to the machines."""
     for n, lhs, phi, args, kind in FIX_LAW:
         if n == name:
-            argstr = " ".join(args)
-            left = f"{lhs} {argstr}" if args else lhs
-            right = f"({phi}) (next ({lhs})) {argstr}".rstrip()
-            return term(left), term(right), kind
+            fx = term(lhs)
+            fty = elaborate({}, fx)[1]
+            left, right = fx, App(Ascribe(term(phi), Arrow(Later(fty), fty)), Next(fx))
+            for a in args:
+                left, right = App(left, term(a)), App(right, term(a))
+            return left, right, kind
     raise KeyError(name)
 
 

@@ -34,11 +34,9 @@ from glam.syntax import (
     TERMS,
     App,
     Arrow,
-    Ascribe,
     Box,
     Later,
     LaterApp,
-    Next,
     Pair,
     Prod,
     Unbox,
@@ -400,15 +398,8 @@ def _gate_queries(diag_stages=24):
     for name, t, _ in corpus.nat_corpus():
         for i in (1, 3):
             ask(("nat", name, i), lambda: den_nat(t, i))
-    for name, fx, phi, args, _ in corpus.FIX_LAW:
-        # fix_law_sides's two sides, with phi ascribed so that the right
-        # side type-checks too
-        fx = corpus.term(fx)
-        fty = elaborate({}, fx)[1]
-        phi = corpus.term(phi)
-        lhs, rhs = fx, App(Ascribe(phi, Arrow(Later(fty), fty)), Next(fx))
-        for a in args:
-            lhs, rhs = App(lhs, corpus.term(a)), App(rhs, corpus.term(a))
+    for name, *_ in corpus.FIX_LAW:
+        lhs, rhs, _ = corpus.fix_law_sides(name)
         lhs, ty = elaborate({}, lhs)
         for side, t in (("lhs", lhs), ("rhs", elaborate({}, rhs, ty)[0])):
             for i in range(1, 9):
@@ -602,7 +593,9 @@ def test_every_read_of_a_later_app_value_is_charged():
         assert w.val == SNat(5)
 
 
-def test_diag_rows_den_calls_grow_at_most_like_stage_squared(monkeypatch):
+def _den_calls(monkeypatch, src, oracle, stages):
+    """stage -> how many _den calls a cold den_take of src makes there,
+    each checked against the oracle."""
     calls = [0]
     den = denot._den
 
@@ -612,9 +605,110 @@ def test_diag_rows_den_calls_grow_at_most_like_stage_squared(monkeypatch):
 
     monkeypatch.setattr(denot, "_den", counted)
     counts = {}
-    for i in (16, 32):
+    for i in stages:
         monkeypatch.setattr(corpus, "ENV", _fresh_env())
         calls[0] = 0
-        assert den_take(corpus.term("diag rows"), i) == [2 * k for k in range(i)]
+        assert den_take(corpus.term(src), i) == [oracle(k) for k in range(i)], (src, i)
         counts[i] = calls[0]
+    return counts
+
+
+def test_diag_rows_den_calls_grow_at_most_like_stage_squared(monkeypatch):
+    counts = _den_calls(monkeypatch, "diag rows", lambda k: 2 * k, (16, 32))
     assert counts[32] <= 2**2.2 * counts[16], counts
+
+
+# ---------------------------------------------------------------------------
+# fix[T] f: stage i is f applied to next of the memoized stage i - 1
+
+
+def _rebuilding_app(t, i, env):  # the App rule that builds every fixed point from stage 1
+    if "_fix" in t.__dict__:
+        return SFun(denot._fixpoint, i)
+    return denot._den(t.fun, i, env).call(i, denot._den(t.arg, i, env))
+
+
+def test_fixpoint_reuse_matches_rebuilding_rule(monkeypatch):
+    calls = _count_fixpoints(monkeypatch)
+    monkeypatch.setattr(corpus, "ENV", _fresh_env())
+    reuse = _gate_queries(diag_stages=16)
+    reused = len(calls)
+
+    monkeypatch.setitem(denot._RULES, App, _rebuilding_app)
+    monkeypatch.setattr(corpus, "ENV", _fresh_env())
+    calls.clear()
+    rebuilt = _gate_queries(diag_stages=16)
+    # each reuse of a memoized stage stands in for one _fixpoint call
+    assert reused < len(calls), "no memoized stage of a fixed point was reused"
+    assert len(reuse) == len(rebuilt)
+    for got, want in zip(reuse, rebuilt):
+        assert got == want
+
+
+def _least_depth(monkeypatch, query):
+    """The least depth_limit under which query(depth_limit) returns on
+    fresh nodes: the deepest level its depth counters reach."""
+    sessions = []
+
+    class Recorded(denot._Sess):
+        __slots__ = ()
+
+        def __init__(self, limit):
+            super().__init__(limit)
+            sessions.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(denot, "_Sess", Recorded)
+        m.setattr(corpus, "ENV", _fresh_env())
+        query(DEFAULT_DEPTH)
+    return max(st.peak for st in sessions)
+
+
+def test_fixpoint_reuse_is_as_deep_as_rebuilding(monkeypatch):
+    def depths():
+        out = []
+        for name, src, _ in corpus.STREAMS:
+            for i in (4, 8):
+                def term(limit):
+                    t = _elab_stream(corpus.term(src))
+                    return den_term({}, t, STREAM_G, i, depth_limit=limit, elaborated=True)
+
+                def take(limit):
+                    return den_take(corpus.term(src), i, depth_limit=limit)
+
+                out.append((name, i, _least_depth(monkeypatch, term), _least_depth(monkeypatch, take)))
+        return out
+
+    reuse = depths()
+    with monkeypatch.context() as m:
+        m.setitem(denot._RULES, App, _rebuilding_app)
+        assert depths() == reuse
+
+    # the deepest level reached is the least limit that works
+    def take(limit):
+        return den_take(corpus.term("paperfolds"), 8, depth_limit=limit)
+
+    assert _least_depth(monkeypatch, take) == _cold_depth(monkeypatch, take)
+
+
+def test_reused_stage_is_charged_as_a_memo_hit(monkeypatch):
+    # stage i of fix[T] f charges its memoized stage i - 1 as a hit at
+    # the node would be: the caller's depth plus the entry's reach
+    monkeypatch.setattr(corpus, "ENV", _fresh_env())
+    t = elaborate({}, corpus.term("paperfolds"))[0]
+    assert "_fix" in t.fun.__dict__
+    v = den_term({}, t, STREAM_G, 3, elaborated=True)
+    t._sem[3] = (v, 40)  # as if stage 3 had reached 40 levels down
+    for i in (3, 4):
+        with pytest.raises(DepthExceeded):
+            den_term({}, t, STREAM_G, i, depth_limit=39, elaborated=True)
+        assert den_term({}, t, STREAM_G, i, depth_limit=40, elaborated=True).left == SNat(1)
+
+
+def test_paperfolds_den_calls_grow_about_linearly(monkeypatch):
+    counts = _den_calls(monkeypatch, "paperfolds", corpus._pf, (32, 64))
+    assert counts[64] <= 2**1.2 * counts[32], counts
+
+
+def test_den_take_paperfolds_512_matches_closed_form():
+    assert den_take(corpus.term("paperfolds"), 512) == [corpus._pf(k) for k in range(512)]
