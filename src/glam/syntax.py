@@ -12,18 +12,62 @@ pairs.  The listed variables are bound in the body and nowhere else;
 term substitution lands in the listed terms only and never touches
 the body.
 
-``SHAPES`` gives the child structure of every term class; the
-structural traversals (``free_vars``, ``subst``, ``erase``) loop over it.
-``TYPE_SHAPES`` does the same for the type classes: ``free_type_vars``,
+Each class statement declares its class's fields once, in order, with
+what each holds: ``class Lam(Term, var=BINDER, annot=TYPE, body=TERM)``.
+From that line the class gets its constructor and ``__match_args__``,
+and ``SHAPES`` (term classes) or ``TYPE_SHAPES`` (type classes) gets
+its entry.  The structural term traversals (``free_vars``, ``subst``,
+``erase``, ``alpha_eq``) loop over ``SHAPES``; ``free_type_vars``,
 ``type_subst``, ``type_alpha_eq`` and the type predicates and metrics
-of glam.typecheck loop over it.
+of glam.typecheck loop over ``TYPE_SHAPES``.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
+
+# ---------------------------------------------------------------------------
+# Field kinds, and the classes they declare
+
+TERM = "term"  # a subterm
+BINDER = "binder"  # a variable name bound in the next subterm
+SUBST = "subst"  # an explicit substitution: its names alone scope the next subterm
+TERMS = "terms"  # a tuple of subterms
+TYPE = "type"  # a term's type annotation (None when absent), or a type's subtype
+DATA = "data"  # other data: a variable or primitive name
+
+# Each term class's fields in order, loc left out, with what each field
+# holds.  The machine plugs contexts with it.
+SHAPES: dict = {}
+
+# Each type class's fields that hold subtypes, in order (Mu.var and
+# TVar.name are data).
+TYPE_SHAPES: dict = {}
+
+# how a constructor stores a field of each kind; a field of any other
+# kind is stored as given
+_STORE = {SUBST: "tuple(tuple(p) for p in {})", TERMS: "tuple({})"}
+
+
+def _declare(cls, shape: dict, loc: bool) -> None:
+    """Give cls a constructor over the fields in shape, then loc=None if loc."""
+    fields = tuple(shape)
+    params = ", ".join(("self",) + fields + (("loc=None",) if loc else ()))
+    # straight-line stores, as a dataclass's __init__ makes them: a loop
+    # over the fields builds nodes slower
+    stores = [f"_set(self, {f!r}, {_STORE.get(k, '{}').format(f)})" for f, k in shape.items()]
+    stores += ["_set(self, 'loc', loc)"] if loc else []
+    ns = {"_set": object.__setattr__, "__name__": __name__}
+    exec(f"def __init__({params}):\n    " + ("\n    ".join(stores) or "pass"), ns)
+    ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = ns["__init__"]
+    cls.__match_args__ = fields
+
+
+def _frozen(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
 
 # ---------------------------------------------------------------------------
 # Types
@@ -36,59 +80,29 @@ from typing import Callable, NamedTuple, Optional
 class Type:
     __slots__ = ()
 
+    def __init_subclass__(cls, **shape):
+        _declare(cls, shape, loc=False)
+        TYPE_SHAPES[cls] = tuple(f for f, kind in shape.items() if kind is TYPE)
 
-@dataclass(frozen=True, eq=False, repr=False)
-class TVar(Type):
-    name: str
+    __setattr__ = __delattr__ = _frozen
 
+    def __repr__(self) -> str:
+        # repr mirrors the surface syntax; the real printer is in glam.frontend
+        from . import frontend
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Nat(Type):
-    pass
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Unit(Type):
-    pass
+        return f"<Type {frontend.pretty_type(self)}>"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Void(Type):
-    pass
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Prod(Type):
-    left: Type
-    right: Type
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Sum(Type):
-    left: Type
-    right: Type
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Arrow(Type):
-    dom: Type
-    cod: Type
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Mu(Type):
-    var: str
-    body: Type
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Later(Type):
-    body: Type
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Box(Type):
-    body: Type
+class TVar(Type, name=DATA): ...
+class Nat(Type): ...
+class Unit(Type): ...
+class Void(Type): ...
+class Prod(Type, left=TYPE, right=TYPE): ...
+class Sum(Type, left=TYPE, right=TYPE): ...
+class Arrow(Type, dom=TYPE, cod=TYPE): ...
+class Mu(Type, var=DATA, body=TYPE): ...
+class Later(Type, body=TYPE): ...
+class Box(Type, body=TYPE): ...
 
 
 NAT = Nat()
@@ -96,207 +110,60 @@ UNIT = Unit()
 VOID = Void()
 
 
-def _type_repr(a: Type) -> str:
-    # repr mirrors the surface syntax; the real printer is in glam.frontend
-    from . import frontend
-
-    return f"<Type {frontend.pretty_type(a)}>"
-
-
-Type.__repr__ = _type_repr  # type: ignore[assignment]
-
-
 # ---------------------------------------------------------------------------
 # Terms
-
-Loc = Optional[tuple]  # (line, col)
-
-ExplicitSubst = tuple  # tuple of (name, Term) pairs
+#
+# A term also carries loc, its (line, col) in the source or None.  loc
+# is not in the shape: the traversals never compare it.
 
 
 class Term:
     __slots__ = ()
 
+    def __init_subclass__(cls, **shape):
+        _declare(cls, shape, loc=True)
+        SHAPES[cls] = tuple(shape.items())
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Var(Term):
-    name: str
-    loc: Loc = field(default=None, compare=False)
+    __setattr__ = __delattr__ = _frozen
 
+    def __repr__(self) -> str:
+        from . import frontend
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Zero(Term):
-    loc: Loc = field(default=None, compare=False)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Succ(Term):
-    body: Term
-    loc: Loc = field(default=None, compare=False)
+        return f"<Term {frontend.pretty(self)}>"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class UnitVal(Term):
-    loc: Loc = field(default=None, compare=False)
+class Var(Term, name=DATA): ...
+class Zero(Term): ...
+class Succ(Term, body=TERM): ...
+class UnitVal(Term): ...
+class Pair(Term, left=TERM, right=TERM): ...
+class Proj1(Term, body=TERM): ...
+class Proj2(Term, body=TERM): ...
+class Abort(Term, annot=TYPE, body=TERM): ...
+class In1(Term, annot=TYPE, body=TERM): ...  # annot is the full sum type, when given
+class In2(Term, annot=TYPE, body=TERM): ...
+class Case(Term, scrut=TERM, var1=BINDER, arm1=TERM, var2=BINDER, arm2=TERM): ...
+class Lam(Term, var=BINDER, annot=TYPE, body=TERM): ...
+class App(Term, fun=TERM, arg=TERM): ...
+class Fold(Term, annot=TYPE, body=TERM): ...  # annot is a mu-type, when given
+class Unfold(Term, body=TERM): ...
+class Next(Term, body=TERM): ...
+class Prev(Term, subst=SUBST, body=TERM): ...
+class LaterApp(Term, fun=TERM, arg=TERM): ...  # the applicative action of |>, written t <*> u
+class BoxI(Term, subst=SUBST, body=TERM): ...  # box sigma. t
+class Unbox(Term, body=TERM): ...
+class BoxSum(Term, subst=SUBST, body=TERM): ...  # boxp sigma. t
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Pair(Term):
-    left: Term
-    right: Term
-    loc: Loc = field(default=None, compare=False)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Proj1(Term):
-    body: Term
-    loc: Loc = field(default=None, compare=False)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Proj2(Term):
-    body: Term
-    loc: Loc = field(default=None, compare=False)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Abort(Term):
-    annot: Optional[Type]
-    body: Term
-    loc: Loc = field(default=None, compare=False)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class In1(Term):
-    annot: Optional[Type]  # the full sum type, when given
-    body: Term
-    loc: Loc = field(default=None, compare=False)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class In2(Term):
-    annot: Optional[Type]
-    body: Term
-    loc: Loc = field(default=None, compare=False)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Case(Term):
-    scrut: Term
-    var1: str
-    arm1: Term
-    var2: str
-    arm2: Term
-    loc: Loc = field(default=None, compare=False)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Lam(Term):
-    var: str
-    annot: Optional[Type]
-    body: Term
-    loc: Loc = field(default=None, compare=False)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class App(Term):
-    fun: Term
-    arg: Term
-    loc: Loc = field(default=None, compare=False)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Fold(Term):
-    annot: Optional[Type]  # a mu-type, when given
-    body: Term
-    loc: Loc = field(default=None, compare=False)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Unfold(Term):
-    body: Term
-    loc: Loc = field(default=None, compare=False)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Next(Term):
-    body: Term
-    loc: Loc = field(default=None, compare=False)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Prev(Term):
-    subst: ExplicitSubst
-    body: Term
-    loc: Loc = field(default=None, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "subst", tuple(tuple(p) for p in self.subst))
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class LaterApp(Term):  # the applicative action of |>, written t <*> u
-    fun: Term
-    arg: Term
-    loc: Loc = field(default=None, compare=False)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class BoxI(Term):  # box sigma. t
-    subst: ExplicitSubst
-    body: Term
-    loc: Loc = field(default=None, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "subst", tuple(tuple(p) for p in self.subst))
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Unbox(Term):
-    body: Term
-    loc: Loc = field(default=None, compare=False)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class BoxSum(Term):  # boxp sigma. t
-    subst: ExplicitSubst
-    body: Term
-    loc: Loc = field(default=None, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "subst", tuple(tuple(p) for p in self.subst))
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Prim(Term):
+class Prim(Term, name=DATA, args=TERMS):
     """A saturated application of a built-in function symbol.
 
     The frontend eta-expands unsaturated occurrences, so the machine
     only ever meets Prim nodes carrying exactly the declared arity.
     """
 
-    name: str
-    args: tuple
-    loc: Loc = field(default=None, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Ascribe(Term):
-    body: Term
-    annot: Type
-    loc: Loc = field(default=None, compare=False)
-
-
-def _term_repr(t: Term) -> str:
-    from . import frontend
-
-    return f"<Term {frontend.pretty(t)}>"
-
-
-Term.__repr__ = _term_repr  # type: ignore[assignment]
+class Ascribe(Term, body=TERM, annot=TYPE): ...
 
 
 class Primitive(NamedTuple):
@@ -307,44 +174,6 @@ class Primitive(NamedTuple):
 # The built-in function symbols, all at Nat.  The machine's delta rule,
 # the denotation and the BDE oracle all compute with ``op``.
 PRIMITIVES = {"addN": Primitive(2, operator.add), "mulN": Primitive(2, operator.mul)}
-
-
-# ---------------------------------------------------------------------------
-# Child shapes: each term class's fields in dataclass order, loc left
-# out, with what each field holds.  The machine plugs contexts with it.
-
-TERM = "term"  # a subterm
-BINDER = "binder"  # a variable name bound in the next subterm
-SUBST = "subst"  # an explicit substitution: its names alone scope the next subterm
-TERMS = "terms"  # a tuple of subterms
-TYPE = "type"  # a type annotation (None when absent)
-DATA = "data"  # other data: a variable or primitive name
-
-SHAPES = {
-    Var: (("name", DATA),),
-    Zero: (),
-    Succ: (("body", TERM),),
-    UnitVal: (),
-    Pair: (("left", TERM), ("right", TERM)),
-    Proj1: (("body", TERM),),
-    Proj2: (("body", TERM),),
-    Abort: (("annot", TYPE), ("body", TERM)),
-    In1: (("annot", TYPE), ("body", TERM)),
-    In2: (("annot", TYPE), ("body", TERM)),
-    Case: (("scrut", TERM), ("var1", BINDER), ("arm1", TERM), ("var2", BINDER), ("arm2", TERM)),
-    Lam: (("var", BINDER), ("annot", TYPE), ("body", TERM)),
-    App: (("fun", TERM), ("arg", TERM)),
-    Fold: (("annot", TYPE), ("body", TERM)),
-    Unfold: (("body", TERM),),
-    Next: (("body", TERM),),
-    Prev: (("subst", SUBST), ("body", TERM)),
-    LaterApp: (("fun", TERM), ("arg", TERM)),
-    BoxI: (("subst", SUBST), ("body", TERM)),
-    Unbox: (("body", TERM),),
-    BoxSum: (("subst", SUBST), ("body", TERM)),
-    Prim: (("name", DATA), ("args", TERMS)),
-    Ascribe: (("body", TERM), ("annot", TYPE)),
-}
 
 
 def _shape(t) -> tuple:
@@ -597,59 +426,42 @@ def _aeq(t, u, envt, envu, ctr) -> bool:
         return True
     if t.__class__ is not u.__class__:
         return False
-    match t:
-        case Var(x):
-            return envt.get(x, x) == envu.get(u.name, u.name)
-        case Zero() | UnitVal():
-            return True
-        case Succ(b) | Proj1(b) | Proj2(b) | Unfold(b) | Next(b) | Unbox(b):
-            return _aeq(b, u.body, envt, envu, ctr)
-        case Abort(a, b) | In1(a, b) | In2(a, b) | Fold(a, b):
-            return _annot_eq(a, u.annot) and _aeq(b, u.body, envt, envu, ctr)
-        case Ascribe(b, a):
-            return _annot_eq(a, u.annot) and _aeq(b, u.body, envt, envu, ctr)
-        case Pair(l, r) | App(l, r) | LaterApp(l, r):
-            return _aeq(l, _left(u), envt, envu, ctr) and _aeq(r, _right(u), envt, envu, ctr)
-        case Lam(x, a, b):
-            if not _annot_eq(a, u.annot):
+    if t.__class__ is Var:
+        return envt.get(t.name, t.name) == envu.get(u.name, u.name)
+    scope = None  # the next subterm's binders in t and in u, and the environments they extend
+    for name, kind in _shape(t):
+        v = getattr(t, name)
+        w = getattr(u, name)
+        if kind is TERM:
+            ok = _aeq(v, w, envt, envu, ctr) if scope is None else _aeq_under(*scope, v, w, ctr)
+            if not ok:
                 return False
-            return _aeq_under([x], [u.var], b, u.body, envt, envu, ctr)
-        case Case(s, x1, a1, x2, a2):
-            return (
-                _aeq(s, u.scrut, envt, envu, ctr)
-                and _aeq_under([x1], [u.var1], a1, u.arm1, envt, envu, ctr)
-                and _aeq_under([x2], [u.var2], a2, u.arm2, envt, envu, ctr)
-            )
-        case Prev(sig, b) | BoxI(sig, b) | BoxSum(sig, b):
-            usig = u.subst
-            if len(sig) != len(usig):
+            scope = None
+        elif kind is BINDER:
+            scope = ((v,), (w,), envt, envu)
+        elif kind is SUBST:
+            if len(v) != len(w):
                 return False
-            for (_, v1), (_, v2) in zip(sig, usig):
-                if not _aeq(v1, v2, envt, envu, ctr):
+            for (_, v1), (_, w1) in zip(v, w):
+                if not _aeq(v1, w1, envt, envu, ctr):
                     return False
             # the listed variables are the only bindings visible in the body
-            return _aeq_under(
-                [x for x, _ in sig], [x for x, _ in usig], b, u.body, {}, {}, ctr
-            )
-        case Prim(name, args):
-            if name != u.name or len(args) != len(u.args):
+            scope = ([x for x, _ in v], [y for y, _ in w], {}, {})
+        elif kind is TERMS:
+            if len(v) != len(w):
                 return False
-            return all(_aeq(a, b, envt, envu, ctr) for a, b in zip(args, u.args))
-        case _:
-            raise TypeError(f"not a term: {t!r}")
+            for v1, w1 in zip(v, w):
+                if not _aeq(v1, w1, envt, envu, ctr):
+                    return False
+        elif kind is TYPE:
+            if not _annot_eq(v, w):
+                return False
+        elif v != w:
+            return False
+    return True
 
 
-def _left(u):
-    return u.left if isinstance(u, Pair) else u.fun
-
-
-def _right(u):
-    return u.right if isinstance(u, Pair) else u.arg
-
-
-def _aeq_under(xs, ys, b1, b2, envt, envu, ctr):
-    if len(xs) != len(ys):
-        return False
+def _aeq_under(xs, ys, envt, envu, b1, b2, ctr):
     envt = dict(envt)
     envu = dict(envu)
     for x, y in zip(xs, ys):
@@ -660,24 +472,10 @@ def _aeq_under(xs, ys, b1, b2, envt, envu, ctr):
 
 
 # ---------------------------------------------------------------------------
-# Types: child shapes, free variables, substitution, alpha-equivalence
+# Types: free variables, substitution, alpha-equivalence
 #
-# Each type class's fields that hold subtypes, in order (Mu.var and
-# TVar.name are data).  Facts about a type that hold in every context
-# are cached on the node, as free_vars caches _fv on terms.
-
-TYPE_SHAPES = {
-    TVar: (),
-    Nat: (),
-    Unit: (),
-    Void: (),
-    Prod: ("left", "right"),
-    Sum: ("left", "right"),
-    Arrow: ("dom", "cod"),
-    Mu: ("body",),
-    Later: ("body",),
-    Box: ("body",),
-}
+# Facts about a type that hold in every context are cached on the node,
+# as free_vars caches _fv on terms.
 
 
 def _type_shape(a) -> tuple:

@@ -1,14 +1,22 @@
-import dataclasses
+import inspect
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
+import corpus
 from glam import denot
+from glam import machine as M
 from glam.syntax import (
+    BINDER,
+    DATA,
     NAT,
     SHAPES,
     STREAM_G,
+    SUBST,
+    TERM,
+    TERMS,
+    TYPE,
     TYPE_SHAPES,
     UNIT,
     Abort,
@@ -175,8 +183,7 @@ def test_every_term_class_has_a_shape():
     classes = Term.__subclasses__()
     assert set(SHAPES) == set(classes)
     for c in classes:
-        fields = [f.name for f in dataclasses.fields(c) if f.name != "loc"]
-        assert [name for name, _ in SHAPES[c]] == fields, c.__name__
+        assert [name for name, _ in SHAPES[c]] == list(c.__match_args__), c.__name__
 
 
 def test_every_type_class_has_a_shape():
@@ -184,11 +191,65 @@ def test_every_type_class_has_a_shape():
     # TVar.name are data.  A class outside it is not a type.
     classes = Type.__subclasses__()
     assert set(TYPE_SHAPES) == set(classes)
+    data = {TVar: ("name",), Mu: ("var",)}
     for c in classes:
-        fields = [f.name for f in dataclasses.fields(c) if f.type == "Type"]
+        fields = [f for f in c.__match_args__ if f not in data.get(c, ())]
         assert list(TYPE_SHAPES[c]) == fields, c.__name__
     with pytest.raises(TypeError, match="not a type: 5"):
         free_type_vars(Arrow(NAT, 5))
+
+
+def _sample(c):
+    """The arguments of an instance of c, each made for its field's kind,
+    with an explicit substitution and a tuple of terms given as lists."""
+    if c in TYPE_SHAPES:
+        return [NAT if f in TYPE_SHAPES[c] else "a" for f in c.__match_args__]
+    made = {
+        TERM: Zero(), BINDER: "x", SUBST: [["x", Zero()]], TERMS: [Zero()], TYPE: NAT, DATA: "addN"
+    }
+    return [made[kind] for _, kind in SHAPES[c]]
+
+
+@pytest.mark.parametrize("c", [*SHAPES, *TYPE_SHAPES], ids=lambda c: c.__name__)
+def test_syntax_class_contract(c):
+    # what the other modules rely on in every term and type class
+    term = c in SHAPES
+    args = _sample(c)
+    x = c(*args)
+    fields = [name for name, _ in SHAPES[c]] if term else list(c.__match_args__)
+    assert c.__match_args__ == tuple(fields)
+    assert list(inspect.signature(c).parameters) == fields + ["loc"] * term
+    for f, v in zip(fields, args):
+        got = getattr(x, f)
+        if isinstance(v, list):  # a list subst or args comes back as tuples
+            want = tuple(map(tuple, v)) if f == "subst" else tuple(v)
+            assert type(got) is tuple and got == want
+        else:
+            assert got is v
+    for f in fields + ["loc"] * term:
+        with pytest.raises(AttributeError):
+            setattr(x, f, getattr(x, f))
+        with pytest.raises(AttributeError):
+            delattr(x, f)
+    with pytest.raises(AttributeError):
+        x._fv = frozenset()
+    object.__setattr__(x, "_fv", frozenset("q"))
+    assert x._fv == frozenset("q")
+    y = c(*args)
+    assert x == x and x != y
+    assert hash(x) == object.__hash__(x) and hash(y) == object.__hash__(y)
+    with pytest.raises(TypeError):
+        c(*args, None, None)
+    if args:
+        with pytest.raises(TypeError):
+            c(*args[:-1])
+    if term:
+        assert x.loc is None and "loc" not in c.__match_args__
+        assert c(*args, loc=(3, 4)).loc == (3, 4) and c(*args, (3, 4)).loc == (3, 4)
+    else:
+        with pytest.raises(TypeError):
+            c(*args, loc=None)
+    assert repr(x).startswith("<Term " if term else "<Type ") and repr(x).endswith(">")
 
 
 def test_every_term_class_has_a_denotation_rule():
@@ -340,7 +401,7 @@ def _annotated(x):
     if isinstance(x, (Ascribe, Type)):
         return True
     if isinstance(x, Term):
-        return any(_annotated(getattr(x, f.name)) for f in dataclasses.fields(x))
+        return any(_annotated(getattr(x, f)) for f in x.__match_args__)
     if isinstance(x, tuple):
         return any(_annotated(y) for y in x)
     return False
@@ -363,6 +424,120 @@ def test_alpha_eq_equivalence(t):
     assert alpha_eq(a, b) and alpha_eq(b, a)
     assert alpha_eq(b, c)
     assert alpha_eq(a, c)
+
+
+# ---------------------------------------------------------------------------
+# alpha_eq against the match-based reference
+#
+# _reference_alpha_eq is the one-match-over-the-term-classes version that
+# the SHAPES-walking alpha_eq replaced.
+
+
+def _reference_alpha_eq(t, u):
+    return _ref_aeq(t, u, {}, {}, [0])
+
+
+def _ref_annot_eq(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return type_alpha_eq(a, b)
+
+
+def _ref_aeq(t, u, envt, envu, ctr):
+    if t is u and (envt == envu or not free_vars(t)):
+        return True
+    if t.__class__ is not u.__class__:
+        return False
+    match t:
+        case Var(x):
+            return envt.get(x, x) == envu.get(u.name, u.name)
+        case Zero() | UnitVal():
+            return True
+        case Succ(b) | Proj1(b) | Proj2(b) | Unfold(b) | Next(b) | Unbox(b):
+            return _ref_aeq(b, u.body, envt, envu, ctr)
+        case Abort(a, b) | In1(a, b) | In2(a, b) | Fold(a, b):
+            return _ref_annot_eq(a, u.annot) and _ref_aeq(b, u.body, envt, envu, ctr)
+        case Ascribe(b, a):
+            return _ref_annot_eq(a, u.annot) and _ref_aeq(b, u.body, envt, envu, ctr)
+        case Pair(l, r) | App(l, r) | LaterApp(l, r):
+            return _ref_aeq(l, _left(u), envt, envu, ctr) and _ref_aeq(
+                r, _right(u), envt, envu, ctr
+            )
+        case Lam(x, a, b):
+            if not _ref_annot_eq(a, u.annot):
+                return False
+            return _ref_aeq_under([x], [u.var], b, u.body, envt, envu, ctr)
+        case Case(s, x1, a1, x2, a2):
+            return (
+                _ref_aeq(s, u.scrut, envt, envu, ctr)
+                and _ref_aeq_under([x1], [u.var1], a1, u.arm1, envt, envu, ctr)
+                and _ref_aeq_under([x2], [u.var2], a2, u.arm2, envt, envu, ctr)
+            )
+        case Prev(sig, b) | BoxI(sig, b) | BoxSum(sig, b):
+            usig = u.subst
+            if len(sig) != len(usig):
+                return False
+            for (_, v1), (_, v2) in zip(sig, usig):
+                if not _ref_aeq(v1, v2, envt, envu, ctr):
+                    return False
+            return _ref_aeq_under(
+                [x for x, _ in sig], [x for x, _ in usig], b, u.body, {}, {}, ctr
+            )
+        case Prim(name, args):
+            if name != u.name or len(args) != len(u.args):
+                return False
+            return all(_ref_aeq(a, b, envt, envu, ctr) for a, b in zip(args, u.args))
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+
+
+def _left(u):
+    return u.left if isinstance(u, Pair) else u.fun
+
+
+def _right(u):
+    return u.right if isinstance(u, Pair) else u.arg
+
+
+def _ref_aeq_under(xs, ys, b1, b2, envt, envu, ctr):
+    if len(xs) != len(ys):
+        return False
+    envt = dict(envt)
+    envu = dict(envu)
+    for x, y in zip(xs, ys):
+        ctr[0] += 1
+        envt[x] = ctr[0]
+        envu[y] = ctr[0]
+    return _ref_aeq(b1, b2, envt, envu, ctr)
+
+
+@given(_terms, _terms)
+@settings(max_examples=200)
+def test_alpha_eq_matches_reference(t, u):
+    # equal pairs through _freshen, unrelated pairs, and near misses that
+    # differ from an alpha-variant only where x is free, in annotations,
+    # in a primitive's name or in its number of arguments
+    f = _freshen(t)
+    pairs = [(t, f), (f, t), (t, u), (u, t), (t, subst(f, {"x": u})), (t, erase(f))]
+    pairs += [(Lam("x", None, t), Lam("y", None, subst(f, {"x": Var("y")})))]
+    prims = [("addN", (f, u)), ("mulN", (f, u)), ("addN", (f,))]
+    pairs += [(Prim("addN", (t, u)), Prim(p, a)) for p, a in prims]
+    for a, b in pairs:
+        assert alpha_eq(a, b) == _reference_alpha_eq(a, b)
+    assert alpha_eq(t, f)
+
+
+def test_alpha_eq_matches_reference_on_step_reducts():
+    # each call-by-name step against the structural-recursion step
+    for _, t, _ in corpus.nat_corpus():
+        t = erase(t)
+        while True:
+            a, b = M.step(t), M.step_rd(t)
+            if a is None or b is None:
+                break
+            assert alpha_eq(a, b) == _reference_alpha_eq(a, b) is True
+            assert alpha_eq(a, t) == _reference_alpha_eq(a, t)
+            t = a
 
 
 @given(_types, _types)
