@@ -31,7 +31,8 @@ they stand for the earlier-defined stream equations named plus/times.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
+
 from .errors import (
     BadVariable,
     BdeError,
@@ -67,42 +68,35 @@ from .syntax import (
 # Abstract syntax
 
 
-@dataclass(frozen=True)
-class HeadVar:
+class HeadVar(NamedTuple):
     name: str  # x<i>
 
 
-@dataclass(frozen=True)
-class HeadNum:
+class HeadNum(NamedTuple):
     n: int
 
 
-@dataclass(frozen=True)
-class HeadOp:
+class HeadOp(NamedTuple):
     op: str  # addN | mulN
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class TailVar:
+class TailVar(NamedTuple):
     kind: str  # x | y | z
     i: int  # 1-based
 
 
-@dataclass(frozen=True)
-class TailCall:
+class TailCall(NamedTuple):
     name: str
     args: tuple
 
 
-@dataclass(frozen=True)
-class BdeDef:
+class BdeDef(NamedTuple):
     name: str
     arity: int
     head: object
     tail: object
-    deps: tuple  # earlier names referenced by the tail, in order of first use
 
 
 _VAR_RE = re.compile(r"^([xyz])([1-9][0-9]*)$")
@@ -140,7 +134,7 @@ class _BdeParser(TokenCursor):
         tail = self.p_tsum()
         self.expect(";")
         self.expect("}")
-        return BdeDef(name, arity, head, tail, deps=())
+        return BdeDef(name, arity, head, tail)
 
     # heads: + / * are primitive arithmetic
 
@@ -211,23 +205,7 @@ class _BdeParser(TokenCursor):
 @nesting_guard
 def parse_bde(text: str):
     """Parse a .bde file into definitions (unvalidated)."""
-    defs = _BdeParser(tokenize(text)).p_file()
-    return [d for d in _with_deps(defs)]
-
-
-def _with_deps(defs):
-    for d in defs:
-        deps = []
-
-        def walk(t):
-            if isinstance(t, TailCall):
-                if t.name != d.name and t.name not in deps:
-                    deps.append(t.name)
-                for a in t.args:
-                    walk(a)
-
-        walk(d.tail)
-        yield BdeDef(d.name, d.arity, d.head, d.tail, tuple(deps))
+    return _BdeParser(tokenize(text)).p_file()
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +283,7 @@ def _check_tail(t, d, pos, positions, byname):
 # Compilation to guarded lambda terms
 
 
-@dataclass(frozen=True)
-class CompiledBde:
+class CompiledBde(NamedTuple):
     guarded: Term
     guarded_type: Type
     lifted: Term

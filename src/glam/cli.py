@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import bde as bdemod
 from . import denot, machine, typecheck
-from .errors import GlamError, NestingTooDeep
+from .errors import GlamError, nesting_guard
 from .frontend import Program, parse_program, parse_term, pretty, pretty_type
 from .prelude import load_prelude
 from .syntax import App, Box, NAT, STREAM_G, type_alpha_eq
@@ -213,7 +213,10 @@ def run_repl(infile, outfile, fuel: int | None = None) -> None:
             elif line.startswith(":den "):
                 i, src = _count_and_term(":den i e", line[5:])
                 t = parse_term(src, env=env, strict=True)
-                ty = typecheck.infer({}, t) if _synthesizes(env, src) else None
+                try:
+                    ty = typecheck.infer({}, t)
+                except GlamError:
+                    ty = None
                 if ty is not None and type_alpha_eq(ty, NAT):
                     w(str(denot.den_nat(t, i)))
                 else:
@@ -243,14 +246,6 @@ def _count_and_term(usage: str, rest: str):
     if len(parts) != 2 or not parts[0].isdecimal():
         raise _ReplError(f"usage: {usage}")
     return int(parts[0]), parts[1]
-
-
-def _synthesizes(env, src: str) -> bool:
-    try:
-        typecheck.infer({}, parse_term(src, env=env, strict=True))
-        return True
-    except GlamError:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +307,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return nesting_guard(args.fn)(args)
     except GlamError as e:
         print(e.render(), file=sys.stderr)
-        return 1
-    except RecursionError:
-        print(NestingTooDeep("input nested too deeply to process").render(), file=sys.stderr)
         return 1
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)

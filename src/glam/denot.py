@@ -6,7 +6,8 @@ denotes, at stage i, an element of that family.  This module computes
 those elements directly:
 
   * Nat, Unit and #-types denote constant families, represented by
-    stage-independent values (restriction is the identity).
+    stage-independent values (restriction is the identity).  A natural
+    number is a Python int, as on the need-machine.
   * |>A at stage 1 is the one-point set (SLaterStar); at stage i+1 it
     is A at stage i (SLater).
   * A -> B at stage i is represented by a callable together with its
@@ -63,9 +64,10 @@ type-checks its input once on entry.
 The restriction maps belong to the presheaf, and only an observation
 has to apply them.  So ``restrict`` costs O(1): a pair, injection or
 later value becomes a shell of its own class that restricts each
-component when it is first read.  Moving an environment down a stage
-(``SemEnv.at_index``) thus copies no stream value, which has i cells
-at stage i.
+component when it is first read.  An environment is a plain dict of
+its variables' values at the stage being denoted, never changed in
+place; moving it down a stage (``_restrict_env``) restricts each entry
+and thus copies no stream value, which has i cells at stage i.
 
 Each term class has one hand-written rule in ``_RULES``; ``_den``
 looks it up by class, after its depth accounting and closed-subterm
@@ -74,10 +76,8 @@ memo.
 
 from __future__ import annotations
 
-import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 
 from .errors import DepthExceeded, DenotError, IndexZero, TypingError, nesting_guard
 from .syntax import (
@@ -123,8 +123,6 @@ from .syntax import (
 )
 from . import typecheck
 
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
-
 DEFAULT_DEPTH = 10_000
 
 
@@ -146,7 +144,8 @@ class _Cut(SemVal):
     attribute; once all are read, the shell drops its source.  A later
     value made by ``<*>`` holds its ``val`` as ``_val`` (see ``_force``);
     a shell over one reads its source's ``val`` afresh at every read,
-    so that every read is charged.
+    so that every read is charged.  Values of one class are equal when
+    their components (``__match_args__``) are.
     """
 
     __slots__ = ()
@@ -169,46 +168,53 @@ class _Cut(SemVal):
             del d["_src"], d["_cut"]
         return w
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = self.__match_args__
+        return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
 
-@dataclass(frozen=True)
-class SNat(SemVal):
-    n: int
 
-
-@dataclass(frozen=True)
 class SUnit(SemVal):
-    pass
+    __slots__ = ()
 
 
 SUNIT = SUnit()
 
 
-@dataclass(frozen=True)
 class SPair(_Cut):
-    left: SemVal
-    right: SemVal
+    __match_args__ = ("left", "right")
     _LAZY = {"left": 0, "right": 0}
 
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
 
-@dataclass(frozen=True)
+
 class SIn(_Cut):
-    tag: int  # 1 or 2
-    val: SemVal
+    __match_args__ = ("tag", "val")
     _LAZY = {"val": 0}
 
+    def __init__(self, tag, val):
+        self.tag = tag  # 1 or 2
+        self.val = val
 
-@dataclass(frozen=True)
+
 class SLaterStar(SemVal):
     """The unique stage-1 inhabitant of a later type."""
+
+    __slots__ = ()
 
 
 SLATERSTAR = SLaterStar()
 
 
-@dataclass(frozen=True)
 class SLater(_Cut):
-    val: SemVal  # at one stage lower
+    __match_args__ = ("val",)
     _LAZY = {"val": 1}
+
+    def __init__(self, val):
+        self.val = val  # at one stage lower
 
 
 class SFun(SemVal):
@@ -308,31 +314,13 @@ def restrict(v: SemVal, j: int) -> SemVal:
 # Environments
 
 
-class SemEnv:
-    """Variable environment at a fixed stage: name -> value.
-
-    ``at_index(j)`` is the environment restricted to stage j <= index;
-    it costs O(1) per entry, since ``restrict`` copies no value.
-    """
-
-    __slots__ = ("index", "items")
-
-    def __init__(self, index: int, items=None):
-        self.index = index
-        self.items = dict(items) if items else {}
-
-    def bind(self, x: str, v: SemVal) -> "SemEnv":
-        out = SemEnv(self.index, self.items)
-        out.items[x] = v
-        return out
-
-    def at_index(self, j: int) -> "SemEnv":
-        if j == self.index:
-            return self
-        assert j < self.index, "environments only restrict downward"
-        out = SemEnv(j)
-        out.items = {x: restrict(v, j) for x, v in self.items.items()}
-        return out
+def _restrict_env(env: dict, i: int, j: int) -> dict:
+    """The stage-i environment env restricted to stage j <= i; O(1) per
+    entry, since ``restrict`` copies no value."""
+    if j == i:
+        return env
+    assert j < i, "environments only restrict downward"
+    return {x: restrict(v, j) for x, v in env.items()}
 
 
 class _Sess:
@@ -397,16 +385,16 @@ def den_term(
     t: Term,
     a: Type,
     i: int,
-    env: SemEnv | None = None,
+    env: dict | None = None,
     depth_limit: int = DEFAULT_DEPTH,
     elaborated: bool = False,
 ) -> SemVal:
     """The element of [[a]] at stage i denoted by ctx |- t : a.
 
-    ``env`` maps every context variable to its value at stage i;
-    omitted for closed terms.  t is type-checked against a first,
-    unless ``elaborated`` says it already has been (e.g. a reduct of
-    an elaborated term).
+    ``env`` is a dict mapping every context variable to its value at
+    stage i; omitted for closed terms.  t is type-checked against a
+    first, unless ``elaborated`` says it already has been (e.g. a
+    reduct of an elaborated term).
 
     One level of ``depth_limit`` is one nested ``_den`` call: a
     subterm's denotation inside its parent's, or a function body's
@@ -416,18 +404,18 @@ def den_term(
     The later parts of the returned value that ``<*>`` made are
     computed when first read (see the module docstring).  Read after
     ``den_term`` returns, they count against the default depth counter
-    with its limit ``DEFAULT_DEPTH``, not against ``depth_limit``;
-    ``den_take`` reads its cells under ``depth_limit``.
+    with its limit ``DEFAULT_DEPTH``, not against ``depth_limit``, and
+    at the caller's recursion limit, not under ``nesting_guard``;
+    ``den_take`` reads its cells under both.
     """
     if i < 1:
         raise IndexZero(f"denotation at stage {i}")
     t2 = t if elaborated else typecheck.elaborate(dict(ctx), t, a)[0]
-    env = env if env is not None else SemEnv(i)
     with _session(depth_limit):
-        return _den(t2, i, env)
+        return _den(t2, i, env if env is not None else {})
 
 
-def _den(t: Term, i: int, env: SemEnv) -> SemVal:
+def _den(t: Term, i: int, env: dict) -> SemVal:
     """The denotation of t at stage i, counted against the depth limit.
 
     A closed subterm denotes the same element at a given stage wherever
@@ -467,7 +455,7 @@ def _den(t: Term, i: int, env: SemEnv) -> SemVal:
         object.__setattr__(t, "_sem", memo)
     hit = memo.get(i)
     if hit is None:
-        hit = memo[i] = _measured(st, depth, rule, t, i, SemEnv(i))
+        hit = memo[i] = _measured(st, depth, rule, t, i, {})
     else:
         _charge(st, st.depth + hit[1])
     return hit[0]
@@ -490,15 +478,15 @@ def _abort(t, i, env):
 def _case(t, i, env):
     sv = _den(t.scrut, i, env)
     if sv.tag == 1:
-        return _den(t.arm1, i, env.bind(t.var1, sv.val))
-    return _den(t.arm2, i, env.bind(t.var2, sv.val))
+        return _den(t.arm1, i, {**env, t.var1: sv.val})
+    return _den(t.arm2, i, {**env, t.var2: sv.val})
 
 
 def _lam(t, i, env):
     x, b = t.var, t.body
 
     def fn(j, arg):
-        return _den(b, j, env.at_index(j).bind(x, arg))
+        return _den(b, j, {**_restrict_env(env, i, j), x: arg})
 
     return SFun(fn, i)
 
@@ -506,7 +494,7 @@ def _lam(t, i, env):
 def _next(t, i, env):
     if i == 1:
         return SLATERSTAR
-    return SLater(_den(t.body, i - 1, env.at_index(i - 1)))
+    return SLater(_den(t.body, i - 1, _restrict_env(env, i, i - 1)))
 
 
 def _later_app(t, i, env):
@@ -520,13 +508,13 @@ def _later_app(t, i, env):
 
 
 def _prev(t, i, env):
-    inner = _den(t.body, i + 1, _subst_env(t.subst, i, i + 1, env))
+    inner = _den(t.body, i + 1, _subst_env(t.subst, i, env))
     return inner.val  # i+1 >= 2, so never the stage-1 star
 
 
 def _box(t, i, env):
-    b, vals = t.body, _subst_env(t.subst, i, None, env)
-    return SGlobal(lambda j: _den(b, j, SemEnv(j, vals)))
+    b, vals = t.body, _subst_env(t.subst, i, env)
+    return SGlobal(lambda j: _den(b, j, vals))
 
 
 def _box_sum(t, i, env):
@@ -539,10 +527,10 @@ def _app(t, i, env):
     """Application.  ``fix[T]`` itself denotes ``_fixpoint``, and a
     closed ``fix[T] f`` whose stage i-1 is in its memo denotes f applied
     at stage i to ``next`` of that value (see the module docstring)."""
-    if "_fix" in t.__dict__:
+    if getattr(t, "_fix", False):
         return SFun(_fixpoint, i)
-    if "_fix" in t.fun.__dict__:
-        prev = t.__dict__.get("_sem", {}).get(i - 1)
+    if getattr(t.fun, "_fix", False):
+        prev = getattr(t, "_sem", {}).get(i - 1)
         if prev is not None:
             # charged as a memo hit at t: the caller is one level up
             st = _SESSION.get()
@@ -562,13 +550,13 @@ def _fixpoint(j, f):
 
 
 def _prim(t, i, env):
-    return SNat(PRIMITIVES[t.name].op(*[_den(a, i, env).n for a in t.args]))
+    return PRIMITIVES[t.name].op(*[_den(a, i, env) for a in t.args])
 
 
 _RULES = {
-    Var: lambda t, i, env: env.items[t.name],
-    Zero: lambda t, i, env: SNat(0),
-    Succ: lambda t, i, env: SNat(_den(t.body, i, env).n + 1),
+    Var: lambda t, i, env: env[t.name],
+    Zero: lambda t, i, env: 0,
+    Succ: lambda t, i, env: _den(t.body, i, env) + 1,
     UnitVal: lambda t, i, env: SUNIT,
     Pair: lambda t, i, env: SPair(_den(t.left, i, env), _den(t.right, i, env)),
     Proj1: lambda t, i, env: _den(t.body, i, env).left,
@@ -592,17 +580,13 @@ _RULES = {
 }
 
 
-def _subst_env(sig, i, new_index, env):
+def _subst_env(sig, i, env):
     """Evaluate an explicit substitution at stage i.
 
     The substituted types are constant, so their stage-i values are
-    also valid at any other stage (identity transport).  Returns the
-    items dict, or a fresh SemEnv when new_index is given.
+    also valid at any other stage (identity transport).
     """
-    items = {x: _den(u, i, env) for x, u in sig}
-    if new_index is None:
-        return items
-    return SemEnv(new_index, items)
+    return {x: _den(u, i, env) for x, u in sig}
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +598,7 @@ def den_nat(
 ) -> int:
     """The natural number denoted by a closed t : Nat at stage i
     (stage-independent: Nat is a constant type)."""
-    return den_term({}, t, NAT, i, depth_limit=depth_limit, elaborated=elaborated).n
+    return den_term({}, t, NAT, i, depth_limit=depth_limit, elaborated=elaborated)
 
 
 @nesting_guard
@@ -636,7 +620,7 @@ def den_take(t: Term, i: int, depth_limit: int = DEFAULT_DEPTH):
     out = []
     with _session(depth_limit):
         for j in range(i, 0, -1):
-            out.append(v.left.n)
+            out.append(v.left)
             if j > 1:
                 v = v.right.val
             else:
@@ -656,7 +640,7 @@ def sem_eq(a: Type, i: int, v: SemVal, w: SemVal) -> bool:
     """
     match a:
         case Nat():
-            return v.n == w.n
+            return v == w
         case Unit():
             return True
         case Prod(l, r):

@@ -5,10 +5,16 @@ message; ``render()`` produces the one-line form used by the CLI,
 with a source span when one is known.  ``nesting_guard`` turns a
 ``RecursionError`` into ``NestingTooDeep`` at the recursive entry
 points (the parsers, the type checker, ``machine.eval_term`` and
-``observe_nat``, and ``denot.den_term``).
+``observe_nat``, ``denot.den_term`` and the CLI's subcommands).
 """
 
 import functools
+import sys
+
+# The recursion limit inside a guarded call: substitution and the term
+# traversals recurse over deep spines (numerals, long reduction
+# results), for which CPython's default limit is far too small.
+NESTING_LIMIT = 100_000
 
 
 class GlamError(Exception):
@@ -85,15 +91,23 @@ class NestingTooDeep(GlamError):
 
 
 def nesting_guard(fn):
-    """Make an entry point raise NestingTooDeep, not RecursionError, on
-    input nested deeper than the Python stack allows."""
+    """Make an entry point run with the recursion limit raised to
+    ``NESTING_LIMIT``, restored on exit, and raise NestingTooDeep, not
+    RecursionError, on input nested deeper than that.  Under an
+    enclosing guard, the limit is already raised and stays as it is."""
 
     @functools.wraps(fn)
     def guarded(*args, **kwargs):
+        old = sys.getrecursionlimit()
+        if old < NESTING_LIMIT:
+            sys.setrecursionlimit(NESTING_LIMIT)
         try:
             return fn(*args, **kwargs)
         except RecursionError:
             raise NestingTooDeep("input nested too deeply to process") from None
+        finally:
+            if old < NESTING_LIMIT:
+                sys.setrecursionlimit(old)
 
     return guarded
 

@@ -58,8 +58,7 @@ definition names never show up in explicit substitution lists.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ParseError, nesting_guard
 from .syntax import (
@@ -205,8 +204,7 @@ class TokenCursor:
 # Programs
 
 
-@dataclass(frozen=True)
-class Def:
+class Def(NamedTuple):
     name: str
     ty: Type
     body: Term  # closed: earlier definitions are already inlined

@@ -37,9 +37,6 @@ arguments left to right.
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass
-
 from .errors import FuelExhaustedError, StuckError, nesting_guard
 from .syntax import (
     PRIMITIVES,
@@ -77,10 +74,6 @@ from .syntax import (
     subst,
 )
 
-# Substitution and term traversals recurse over deep spines (numerals,
-# long reduction results); the default CPython limit is far too small.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
-
 DEFAULT_FUEL = 10**6
 
 
@@ -102,10 +95,12 @@ def is_value(t: Term) -> bool:
     return False
 
 
-@dataclass(frozen=True)
 class EvalOutcome:
-    term: Term
-    steps: int
+    __slots__ = ("term", "steps")
+
+    def __init__(self, term: Term, steps: int):
+        self.term = term
+        self.steps = steps
 
 
 class Value(EvalOutcome):

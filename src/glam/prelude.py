@@ -17,13 +17,12 @@ EXTRAS_PATH = _HERE / "extras.gl"
 
 
 @lru_cache(maxsize=None)
-def load_prelude(path: str | None = None) -> Program:
-    """Parse the prelude (or an override file) with no base environment.
+def load_prelude() -> Program:
+    """Parse the prelude with no base environment.
 
     The result is cached; definitions are immutable.
     """
-    src = Path(path).read_text() if path else PRELUDE_PATH.read_text()
-    return parse_program(src)
+    return parse_program(PRELUDE_PATH.read_text())
 
 
 @lru_cache(maxsize=None)

@@ -351,7 +351,7 @@ def _elab1(ctx, t, want):
                 raise _mismatch("application of a non-function", t.loc)
             a2, _ = _elab(ctx, a, tf.dom)
             t2 = App(f2, a2, loc=t.loc)
-            if "_fix" in t.__dict__:  # frontend.fix_term's mark
+            if getattr(t, "_fix", False):  # frontend.fix_term's mark
                 object.__setattr__(t2, "_fix", True)
             return _done(t2, tf.cod, want, t.loc)
         case Fold(a0, b):

@@ -33,6 +33,54 @@ def test_module_entry_point(capsys):
     assert proc.stdout == capsys.readouterr().out
 
 
+def _run_python(code: str) -> str:
+    """The stdout of a fresh interpreter running code with glam importable."""
+    src = str(Path(glam.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_no_record_generator():
+    out = _run_python(
+        "import sys, glam.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    )
+    assert out == "[]\n"
+
+
+def test_glam_leaves_the_recursion_limit_alone():
+    # the limit is raised only for the duration of a guarded call,
+    # whether it returns or raises
+    out = _run_python(
+        "import sys\n"
+        "start = sys.getrecursionlimit()\n"
+        "import glam\n"
+        "from glam import denot, frontend, machine, typecheck\n"
+        "from glam.errors import GlamError\n"
+        "from glam.syntax import NAT, Lam, Var, numeral\n"
+        "seen = [sys.getrecursionlimit()]\n"
+        "for call in (lambda: typecheck.infer({}, numeral(3)),\n"
+        "             lambda: typecheck.infer({}, Lam('x', None, Var('x'))),\n"
+        "             lambda: denot.den_nat(numeral(3), 2),\n"
+        "             lambda: denot.den_nat(numeral(3), 0),\n"
+        "             lambda: machine.eval_term(numeral(3)),\n"
+        "             lambda: machine.observe_nat(Lam('x', None, Var('x'))),\n"
+        "             lambda: frontend.parse_term('(' * 30_000 + '0' + ')' * 30_000)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except GlamError:\n"
+        "        pass\n"
+        "    seen.append(sys.getrecursionlimit())\n"
+        "print(start, seen)\n"
+    )
+    start, seen = out.split(" ", 1)
+    assert seen.strip() == "[" + ", ".join([start] * 8) + "]"
+
+
 def test_deep_nesting_is_one_line_error(capsys, tmp_path):
     path = tmp_path / "deep.gl"
     path.write_text("def deep : Nat = " + "(" * 30_000 + "0" + ")" * 30_000 + ";")
@@ -233,6 +281,9 @@ def test_repl_session():
         ":take abc zeros",
         ":take 3",
         ":den x zeros",
+        # a term that does not synthesize is denoted as a stream
+        ":den 2 (\\s. s) zeros",
+        ":den 2 \\x. x",
         ":load no-such-file.gl",
         ":take 2 toggle",
         ":q",
@@ -251,6 +302,10 @@ def test_repl_session():
     assert "ParseError" in text
     assert text.count("error: usage: :take n e\n") == 2
     assert "error: usage: :den i e\n" in text
+    assert (
+        "glam> CannotSynthesize: cannot synthesize the type of an unannotated lambda (at 1:2)\n"
+        "glam> TypeMismatch: lambda where a non-function is expected (at 1:1)\n"
+    ) in text
     assert "error: [Errno 2] No such file or directory: 'no-such-file.gl'\n" in text
     assert text.endswith("glam> 1 0\nglam> ")
 

@@ -5,12 +5,10 @@ from glam import denot
 from glam.denot import (
     DEFAULT_DEPTH,
     SLATERSTAR,
-    SemEnv,
     SFun,
     SGlobal,
     SIn,
     SLater,
-    SNat,
     SPair,
     SUNIT,
     den_nat,
@@ -63,7 +61,7 @@ def _stream_val(*heads):
     """Nested-pair stream approximation ending in the stage-1 star."""
     v = SLATERSTAR
     for h in reversed(heads):
-        v = SPair(SNat(h), v) if v is SLATERSTAR else SPair(SNat(h), SLater(v))
+        v = SPair(h, v) if v is SLATERSTAR else SPair(h, SLater(v))
     return v
 
 
@@ -119,9 +117,9 @@ def test_restrict_function_entry_under_next(monkeypatch):
     t = elaborate({"x": Arrow(NAT, NAT)}, parse_term(src, env=corpus.ENV), STREAM_G)[0]
     u = _t("\\n: Nat. addN n 2")
     for i in range(1, 9):
-        env = SemEnv(i, {"x": den_term({}, u, Arrow(NAT, NAT), i)})
+        env = {"x": den_term({}, u, Arrow(NAT, NAT), i)}
         for j in range(1, i + 1):
-            got, want = restrict(env.items["x"], j), _eager_restrict(env.items["x"], j)
+            got, want = restrict(env["x"], j), _eager_restrict(env["x"], j)
             assert (got.fn, got.ceiling) == (want.fn, want.ceiling)
         lazy = den_term({"x": Arrow(NAT, NAT)}, t, STREAM_G, i, env=env, elaborated=True)
         with monkeypatch.context() as m:
@@ -137,7 +135,7 @@ def test_restrict_deep_value():
     try:
         w = restrict(v, 199_999)
         for _ in range(3):
-            heads.append(w.left.n)
+            heads.append(w.left)
             w = w.right.val
     except RecursionError:
         pass  # failed below: reporting a traceback 10^5 frames deep takes minutes
@@ -145,22 +143,22 @@ def test_restrict_deep_value():
 
 
 def test_restrict_nat_identity():
-    assert restrict(SNat(7), 3) == SNat(7)
+    assert restrict(7, 3) == 7
 
 
 def test_restrict_stream_drops_last_stage():
     v2 = _stream_val(0, 0)  # stage 2 approximation (0, (0, *))
     v1 = restrict(v2, 1)
-    assert v1 == SPair(SNat(0), SLATERSTAR)
+    assert v1 == SPair(0, SLATERSTAR)
 
 
 def test_restrict_later_to_stage_one():
-    assert restrict(SLater(SNat(5)), 1) is SLATERSTAR
+    assert restrict(SLater(5), 1) is SLATERSTAR
 
 
 def test_restrict_stage_zero_rejected():
     with pytest.raises(IndexZero):
-        restrict(SNat(1), 0)
+        restrict(1, 0)
     with pytest.raises(IndexZero):
         den_nat(numeral(1), 0)
 
@@ -171,7 +169,7 @@ def test_restrict_stage_zero_rejected():
 
 def test_den_succ_zero_all_stages():
     for i in (1, 2, 5):
-        assert den_term({}, numeral(1), NAT, i) == SNat(1)
+        assert den_term({}, numeral(1), NAT, i) == 1
 
 
 def test_den_next_zero_stage_one_trivial():
@@ -218,7 +216,7 @@ def test_boxsum_denotation():
     ty = Sum(Box(NAT), Box(UNIT))
     v = den_term({}, _t("boxp (inl[Nat + Unit] 5)"), ty, 2)
     assert isinstance(v, SIn) and v.tag == 1
-    assert v.val.at(1) == SNat(5) and v.val.at(4) == SNat(5)
+    assert v.val.at(1) == 5 and v.val.at(4) == 5
 
 
 def test_sglobal_memoization_invisible():
@@ -316,7 +314,7 @@ def test_den_substitution_lemma():
         u = _t(usrc)
         for i in (1, 2, 3, 4):
             uval = den_term({}, u, bty, i)
-            env = SemEnv(i, {"x": uval})
+            env = {"x": uval}
             via_env = den_term({"x": bty}, t, aty, i, env=env)
             direct = den_term({}, subst(t, {"x": u}), aty, i)
             assert sem_eq(aty, i, via_env, direct), (src, i)
@@ -329,7 +327,7 @@ def test_den_substitution_lemma():
 def _heads(v, i):
     out = []
     for j in range(i, 0, -1):
-        out.append(v.left.n)
+        out.append(v.left)
         v = v.right.val if j > 1 else v.right
     return out
 
@@ -358,7 +356,7 @@ def test_denotation_infers_no_types(monkeypatch):
             assert _heads(v, i) == [oracle(k) for k in range(i)], (name, i)
     for name, t, want in nats:
         for i in (1, 3):
-            assert den_term({}, t, NAT, i, elaborated=True).n == want, (name, i)
+            assert den_term({}, t, NAT, i, elaborated=True) == want, (name, i)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +365,8 @@ def test_denotation_infers_no_types(monkeypatch):
 
 def _dump(v):
     """A first-order semantic value read in full, as nested tuples."""
-    if isinstance(v, SNat):
-        return v.n
+    if isinstance(v, int):
+        return v
     if isinstance(v, SPair):
         return (_dump(v.left), _dump(v.right))
     if isinstance(v, SIn):
@@ -585,12 +583,12 @@ def test_every_read_of_a_later_app_value_is_charged():
     t = elaborate({}, _t("next (\\x : Nat. succ x) <*> next 4"))[0]
     v = den_term({}, t, Later(NAT), 3, elaborated=True)
     w = restrict(v, 2)
-    assert w.val == v.val == SNat(5)
+    assert w.val == v.val == 5
     for u in (v, w, restrict(v, 2)):
         with denot._session(2), pytest.raises(DepthExceeded):
             u.val
     with denot._session(3):
-        assert w.val == SNat(5)
+        assert w.val == 5
 
 
 def _den_calls(monkeypatch, src, oracle, stages):
@@ -702,7 +700,7 @@ def test_reused_stage_is_charged_as_a_memo_hit(monkeypatch):
     for i in (3, 4):
         with pytest.raises(DepthExceeded):
             den_term({}, t, STREAM_G, i, depth_limit=39, elaborated=True)
-        assert den_term({}, t, STREAM_G, i, depth_limit=40, elaborated=True).left == SNat(1)
+        assert den_term({}, t, STREAM_G, i, depth_limit=40, elaborated=True).left == 1
 
 
 def test_paperfolds_den_calls_grow_about_linearly(monkeypatch):
