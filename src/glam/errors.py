@@ -99,15 +99,13 @@ def nesting_guard(fn):
     @functools.wraps(fn)
     def guarded(*args, **kwargs):
         old = sys.getrecursionlimit()
-        if old < NESTING_LIMIT:
-            sys.setrecursionlimit(NESTING_LIMIT)
+        sys.setrecursionlimit(max(old, NESTING_LIMIT))
         try:
             return fn(*args, **kwargs)
         except RecursionError:
             raise NestingTooDeep("input nested too deeply to process") from None
         finally:
-            if old < NESTING_LIMIT:
-                sys.setrecursionlimit(old)
+            sys.setrecursionlimit(old)
 
     return guarded
 
