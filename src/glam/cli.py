@@ -96,6 +96,8 @@ def cmd_run(args) -> int:
 def cmd_take(args) -> int:
     program = _load(args.file)
     d = _lookup(program, args.name)
+    if not _is_stream_type(d.ty):
+        raise GlamError(f"take handles stream definitions, not {pretty_type(d.ty)}")
     n = _given(args.n, args.count, DEFAULT_N)
     xs = machine.take_stream(d.resolved(), n, fuel=_fuel(args.fuel))
     print(" ".join(str(x) for x in xs))

@@ -61,13 +61,16 @@ function lowers its ceiling, and every other value is the same at
 every stage.  Evaluation therefore needs no types; ``den_term``
 type-checks its input once on entry.
 
-The restriction maps belong to the presheaf, and only an observation
-has to apply them.  So ``restrict`` costs O(1): a pair, injection or
-later value becomes a shell of its own class that restricts each
-component when it is first read.  An environment is a plain dict of
-its variables' values at the stage being denoted, never changed in
-place; moving it down a stage (``_restrict_env``) restricts each entry
-and thus copies no stream value, which has i cells at stage i.
+Restricting a pair or an injection restricts its components, and
+only |> shifts the stage ((|>X)(i+1) = X(i)), so a value's depth grows
+with the stage only under |>.  ``restrict`` therefore rebuilds pairs
+and injections at once and waits only under |>: a later value becomes
+a shell that restricts its component when it is first read, so the
+work of a restriction is bounded by the value's type, not its stage.
+An environment is a plain dict of its variables' values at the stage
+being denoted, never changed in place; moving it down a stage
+(``_restrict_env``) restricts each entry and thus copies no stream
+value, which has i cells at stage i.
 
 Each term class has one hand-written rule in ``_RULES``; ``_den``
 looks it up by class, after its depth accounting and closed-subterm
@@ -134,39 +137,10 @@ class SemVal:
     __slots__ = ()
 
 
-class _Cut(SemVal):
-    """Pair, injection and later values, whose components may be
-    computed when first read.
-
-    A shell made by ``restrict`` holds its source (``_src``) and stage
-    cut (``_cut``) in place of the components named in ``_LAZY``.  A
-    component is restricted when first read, then cached as an ordinary
-    attribute; once all are read, the shell drops its source.  A later
-    value made by ``<*>`` holds its ``val`` as ``_val`` (see ``_force``);
-    a shell over one reads its source's ``val`` afresh at every read,
-    so that every read is charged.  Values of one class are equal when
-    their components (``__match_args__``) are.
-    """
+class _Record(SemVal):
+    """Pair, injection and later values, equal when their components are."""
 
     __slots__ = ()
-    _LAZY = {}  # component -> how many stages below the cut it lives
-
-    def __getattr__(self, name):
-        d = self.__dict__
-        try:
-            src = d["_src"]
-            shift = self._LAZY[name]
-        except KeyError:
-            if name == "val" and "_val" in d:
-                return _force(d)
-            raise AttributeError(name) from None
-        w = restrict(getattr(src, name), d["_cut"] - shift)
-        if "_val" in src.__dict__:
-            return w
-        d[name] = w
-        if d.keys() >= self._LAZY.keys():
-            del d["_src"], d["_cut"]
-        return w
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -182,18 +156,16 @@ class SUnit(SemVal):
 SUNIT = SUnit()
 
 
-class SPair(_Cut):
-    __match_args__ = ("left", "right")
-    _LAZY = {"left": 0, "right": 0}
+class SPair(_Record):
+    __slots__ = __match_args__ = ("left", "right")
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
 
 
-class SIn(_Cut):
-    __match_args__ = ("tag", "val")
-    _LAZY = {"val": 0}
+class SIn(_Record):
+    __slots__ = __match_args__ = ("tag", "val")
 
     def __init__(self, tag, val):
         self.tag = tag  # 1 or 2
@@ -209,12 +181,32 @@ class SLaterStar(SemVal):
 SLATERSTAR = SLaterStar()
 
 
-class SLater(_Cut):
+class SLater(_Record):
+    """An element of |>A at stage i+1: ``val``, A's element at stage i.
+
+    The one value whose component may wait until it is read, in two
+    forms.  A restriction shell holds its source ``_src`` and stage
+    ``_cut`` (``restrict``); it caches its ``val`` unless the source is
+    a ``<*>`` value, which it reads afresh so that every read is
+    charged.  A ``<*>`` value holds a thunk ``_fn`` (``_force``).
+    """
+
     __match_args__ = ("val",)
-    _LAZY = {"val": 1}
+    _src = _fn = _val = None  # set on the lazy forms only
 
     def __init__(self, val):
-        self.val = val  # at one stage lower
+        self.val = val
+
+    def __getattr__(self, name):  # val, on a lazy form
+        if name != "val":
+            raise AttributeError(name)
+        src = self._src
+        if src is None:
+            return _force(self)
+        val = restrict(src.val, self._cut - 1)
+        if src._val is None:  # read just above, a <*> source has its entry
+            self.val = val
+        return val
 
 
 class SFun(SemVal):
@@ -239,9 +231,9 @@ class SFun(SemVal):
 class SGlobal(SemVal):
     """A global element of a #-type: a memoized family j -> value at j.
 
-    Each memo entry records how deep its computation recursed, and a
-    hit counts that depth against the running ``depth_limit``, as
-    ``_den``'s closed-subterm memo does.
+    A hit counts the depth its entry's computation reached against the
+    running ``depth_limit``, as ``_den``'s closed-subterm memo does
+    (``_recall``).
     """
 
     __slots__ = ("fn", "_memo")
@@ -252,25 +244,18 @@ class SGlobal(SemVal):
 
     def at(self, j: int) -> SemVal:
         st = _SESSION.get()
-        hit = self._memo.get(j)
-        if hit is None:
-            hit = self._memo[j] = _measured(st, st.depth, self.fn, j)
-        else:
-            _charge(st, st.depth + hit[1])
-        return hit[0]
+        return _recall(st, self._memo, j, st.depth, self.fn, j)
 
 
-def _force(d):
-    """The ``val`` of a later value made by ``<*>``.  Its ``_val`` is a
-    thunk until the first read runs it one level below the reader, and
-    then the memo entry (value, reach), which every later read charges."""
+def _force(w: SLater) -> SemVal:
+    """The ``val`` of a later value w made by ``<*>``.  The first read
+    runs w's thunk one level below the reader, stores the memo entry
+    and drops the thunk; every later read charges the entry."""
     st = _SESSION.get()
-    got = d["_val"]
-    if got.__class__ is tuple:
-        _charge(st, st.depth + got[1])
-    else:
-        got = d["_val"] = _measured(st, st.depth + 1, got)
-    return got[0]
+    d = w.__dict__
+    val = _recall(st, d, "_val", st.depth + 1, w._fn)
+    d.pop("_fn", None)
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -278,36 +263,38 @@ def _force(d):
 
 
 def restrict(v: SemVal, j: int) -> SemVal:
-    """Restrict v from its own stage down to stage j, by v's shape, in
-    O(1) whatever v's stage or depth.
+    """Restrict v from its own stage down to stage j, by v's shape.
 
-    A function lowers its ceiling to j.  A pair, injection or later
-    value (other than a later value cut to stage 1, which is the star)
-    becomes a shell of its own class over v with cut j, whose
-    components are restricted when first read (``_Cut``).  Restricting
-    a shell again cuts its source once more, since restricting to j and
-    then to k is restricting to min(j, k).  Every other value is the
-    same at every stage.
+    Only a later value waits: cut to stage 1 it is the star, and cut to
+    any other stage it becomes a shell over v with cut j, whose ``val``
+    is restricted when first read.  Restricting a shell again cuts its
+    source once more, since restricting to j and then to k is
+    restricting to min(j, k).  A pair or injection restricts its
+    components at once and a function lowers its ceiling to j, so the
+    work is bounded by v's type, whatever v's stage or depth.  Every
+    other value is the same at every stage.
     """
     if j < 1:
         raise IndexZero(f"restriction to stage {j}")
     cls = v.__class__
+    if cls is SPair:
+        return SPair(restrict(v.left, j), restrict(v.right, j))
+    if cls is SIn:
+        return SIn(v.tag, restrict(v.val, j))
+    if cls is SLater:
+        if j == 1:
+            return SLATERSTAR
+        if v._src is not None:
+            if v._cut <= j:
+                return v
+            v = v._src
+        w = object.__new__(SLater)
+        w._src = v
+        w._cut = j
+        return w
     if cls is SFun:
         return SFun(v.fn, min(v.ceiling, j))
-    if not isinstance(v, _Cut):
-        return v
-    if cls is SLater and j == 1:
-        return SLATERSTAR
-    d = v.__dict__
-    if "_src" in d:
-        if d["_cut"] <= j:
-            return v
-        v = d["_src"]
-    w = object.__new__(cls)
-    w.__dict__.update(_src=v, _cut=j)
-    if cls is SIn:
-        w.__dict__["tag"] = v.tag
-    return w
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +302,8 @@ def restrict(v: SemVal, j: int) -> SemVal:
 
 
 def _restrict_env(env: dict, i: int, j: int) -> dict:
-    """The stage-i environment env restricted to stage j <= i; O(1) per
-    entry, since ``restrict`` copies no value."""
+    """The stage-i environment env restricted to stage j <= i; each
+    entry costs work bounded by its type (``restrict``)."""
     if j == i:
         return env
     assert j < i, "environments only restrict downward"
@@ -351,28 +338,30 @@ def _session(depth_limit):
         _SESSION.reset(token)
 
 
-def _measured(st: _Sess, level: int, fn, *args):
-    """A memo entry: fn(*args) computed at nesting level ``level``, and
-    its reach, how many levels below the caller's depth it went."""
+def _recall(st: _Sess, memo: dict, key, level: int, fn, *args):
+    """memo[key]'s value.  An entry is (value, reach), how many levels
+    below the caller's depth its computation went.  A miss runs
+    fn(*args) at nesting level ``level`` and stores the entry; a hit
+    counts the reach against the limit, as recomputing it would."""
+    hit = memo.get(key)
+    if hit is not None:
+        level = st.depth + hit[1]
     if level > st.limit:
         raise DepthExceeded(f"denotation recursion deeper than {st.limit}")
+    if hit is not None:
+        if level > st.peak:
+            st.peak = level
+        return hit[0]
     base, outer_peak = st.depth, st.peak
     st.depth = st.peak = level
     try:
-        return fn(*args), st.peak - base
+        val = fn(*args)
+        memo[key] = (val, st.peak - base)
     finally:
         st.depth = base
         if outer_peak > st.peak:
             st.peak = outer_peak
-
-
-def _charge(st: _Sess, level: int) -> None:
-    """Count a memo hit whose computation reached ``level`` as if it
-    had been recomputed there."""
-    if level > st.limit:
-        raise DepthExceeded(f"denotation recursion deeper than {st.limit}")
-    if level > st.peak:
-        st.peak = level
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +413,9 @@ def _den(t: Term, i: int, env: dict) -> SemVal:
     term share almost all of their closed subtrees.  Each entry also
     records how deep below its caller its computation recursed, and a
     hit counts that depth against ``depth_limit`` as recomputing the
-    entry would (``_measured``, ``_charge``).  Box values (``SGlobal``)
-    and ``<*>`` values (``_force``) charge their own memo the same way,
-    so a warm evaluation is exactly as deep as a cold one.
+    entry would (``_recall``).  Box values (``SGlobal``) and ``<*>``
+    values (``_force``) keep their memos through the same helper, so a
+    warm evaluation is exactly as deep as a cold one.
     """
     try:
         rule = _RULES[t.__class__]
@@ -453,12 +442,7 @@ def _den(t: Term, i: int, env: dict) -> SemVal:
     except AttributeError:
         memo = {}
         object.__setattr__(t, "_sem", memo)
-    hit = memo.get(i)
-    if hit is None:
-        hit = memo[i] = _measured(st, depth, rule, t, i, {})
-    else:
-        _charge(st, st.depth + hit[1])
-    return hit[0]
+    return _recall(st, memo, i, depth, rule, t, i, {})
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +487,7 @@ def _later_app(t, i, env):
     fv = _den(t.fun, i, env)
     av = _den(t.arg, i, env)
     w = object.__new__(SLater)
-    w.__dict__["_val"] = lambda: fv.val.call(i - 1, av.val)
+    w._fn = lambda: fv.val.call(i - 1, av.val)
     return w
 
 
@@ -532,9 +516,12 @@ def _app(t, i, env):
     if getattr(t.fun, "_fix", False):
         prev = getattr(t, "_sem", {}).get(i - 1)
         if prev is not None:
-            # charged as a memo hit at t: the caller is one level up
+            # charged as a memo hit at t would be: the caller is one level up
             st = _SESSION.get()
-            _charge(st, st.depth - 1 + prev[1])
+            level = st.depth - 1 + prev[1]
+            if level > st.limit:
+                raise DepthExceeded(f"denotation recursion deeper than {st.limit}")
+            st.peak = max(st.peak, level)
             return _den(t.arg, i, env).call(i, SLater(prev[0]))
     return _den(t.fun, i, env).call(i, _den(t.arg, i, env))
 

@@ -27,6 +27,8 @@ from __future__ import annotations
 import operator
 from typing import Callable, NamedTuple, Optional
 
+from .errors import nesting_guard
+
 # ---------------------------------------------------------------------------
 # Field kinds, and the classes they declare
 
@@ -244,6 +246,7 @@ def numeral_value(t: Term) -> Optional[int]:
 _HIDDEN = object()  # scope marker: the next subterm sees only an explicit substitution
 
 
+@nesting_guard
 def free_vars(t: Term) -> frozenset:
     """Free term variables of t.
 
@@ -251,6 +254,10 @@ def free_vars(t: Term) -> frozenset:
     bound by the explicit substitution list); the listed terms
     contribute normally.
     """
+    return _free_vars(t)
+
+
+def _free_vars(t: Term) -> frozenset:
     # cached on the node: terms are immutable and shared heavily
     try:
         return t._fv
@@ -265,17 +272,17 @@ def free_vars(t: Term) -> frozenset:
             v = getattr(t, name)
             if kind is TERM:
                 if scope is None:
-                    parts.append(free_vars(v))
+                    parts.append(_free_vars(v))
                 elif scope is not _HIDDEN:
-                    parts.append(free_vars(v) - {scope})
+                    parts.append(_free_vars(v) - {scope})
                 scope = None
             elif kind is BINDER:
                 scope = v
             elif kind is SUBST:
-                parts.extend(free_vars(u) for _, u in v)
+                parts.extend(_free_vars(u) for _, u in v)
                 scope = _HIDDEN
             elif kind is TERMS:
-                parts.extend(free_vars(a) for a in v)
+                parts.extend(_free_vars(a) for a in v)
         fv = parts[0] if len(parts) == 1 else frozenset().union(*parts)
     object.__setattr__(t, "_fv", fv)
     return fv
@@ -314,7 +321,7 @@ def _applicable(m: dict, t: Term) -> bool:
     try:
         fv = t._fv
     except AttributeError:
-        fv = free_vars(t)
+        fv = _free_vars(t)
     for k in m:
         if k in fv:
             return True
@@ -356,10 +363,10 @@ def _subst_under(x: str, body: Term, m: dict):
     if not m2 or not _applicable(m2, body):
         return x, body
     avoid = set()
-    bfv = free_vars(body)
+    bfv = _free_vars(body)
     for k, v in m2.items():
         if k in bfv:
-            avoid |= free_vars(v)
+            avoid |= _free_vars(v)
     if x in avoid:
         xn = fresh_name(x, avoid | bfv | set(m2))
         body = _subst(body, {x: Var(xn)})
@@ -371,6 +378,7 @@ def _subst_under(x: str, body: Term, m: dict):
 # Annotation erasure
 
 
+@nesting_guard
 def erase(t: Term) -> Term:
     """Strip ascriptions and all type annotations.
 
@@ -378,20 +386,24 @@ def erase(t: Term) -> Term:
     an erased term is the identity (and preserves sharing).  Rebuilt
     nodes carry no source location.
     """
+    return _erase(t)
+
+
+def _erase(t: Term) -> Term:
     if t.__class__ is Ascribe:
-        return erase(t.body)
+        return _erase(t.body)
     out = []
     changed = False
     for name, kind in _shape(t):
         v = getattr(t, name)
         if kind is TERM:
-            v2 = erase(v)
+            v2 = _erase(v)
         elif kind is TYPE:
             v2 = None
         elif kind is SUBST:
-            v2 = tuple((x, erase(u)) for x, u in v)
+            v2 = tuple((x, _erase(u)) for x, u in v)
         elif kind is TERMS:
-            v2 = tuple(erase(a) for a in v)
+            v2 = tuple(_erase(a) for a in v)
         else:
             v2 = v
         # terms compare by identity, so equal tuples hold the same nodes
@@ -404,6 +416,7 @@ def erase(t: Term) -> Term:
 # Alpha-equivalence
 
 
+@nesting_guard
 def alpha_eq(t: Term, u: Term) -> bool:
     """Equality up to consistent renaming of bound variables.
 
@@ -422,7 +435,7 @@ def _annot_eq(a, b) -> bool:
 
 def _aeq(t, u, envt, envu, ctr) -> bool:
     # the same node under the same renaming, or a closed node, equals itself
-    if t is u and (envt == envu or not free_vars(t)):
+    if t is u and (envt == envu or not _free_vars(t)):
         return True
     if t.__class__ is not u.__class__:
         return False

@@ -107,6 +107,21 @@ def test_take_flag_form(capsys):
     assert capsys.readouterr().out.strip() == "1 1 0 1 1 0 0 1"
 
 
+@pytest.mark.parametrize(
+    "path, name, ty",
+    [
+        (PRELUDE_PATH, "hdg", "(mu a. Nat * |>a) -> Nat"),
+        (PROGRAMS / "demo.gl", "answer", "Nat"),
+    ],
+)
+def test_take_rejects_a_non_stream_by_its_type(capsys, path, name, ty):
+    # refused before it runs, not stuck on the machine
+    assert main(["take", str(path), name, "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"Error: take handles stream definitions, not {ty}\n"
+
+
 def test_denote_zeros(capsys):
     assert main(["denote", str(PRELUDE_PATH), "zeros", "3"]) == 0
     assert capsys.readouterr().out.strip() == "0 0 0"

@@ -1,4 +1,6 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import corpus
 from glam import denot
@@ -161,6 +163,67 @@ def test_restrict_stage_zero_rejected():
         restrict(1, 0)
     with pytest.raises(IndexZero):
         den_nat(numeral(1), 0)
+
+
+def _ident(j, a):
+    return a
+
+
+def _app_value(i, val):
+    """A stage-i later value made by the <*> rule, whose val is val."""
+    env = {"f": SLater(SFun(_ident, i - 1)), "x": SLater(val)}
+    return denot._later_app(LaterApp(Var("f"), Var("x")), i, env)
+
+
+@st.composite
+def _sem_values(draw, i, size=3, later=False):
+    """A value of a first-order type, or a function, at stage i: ints,
+    the unit, pairs, injections, functions and later values, these
+    plain, made by <*>, or restriction shells (of shells) from higher
+    stages."""
+    kinds = ["nat", "unit", "fun"] + (["pair", "in", "later"] if size > 0 else [])
+    kind = "later" if later else draw(st.sampled_from(kinds))
+    if kind == "nat":
+        return draw(st.integers(0, 9))
+    if kind == "unit":
+        return SUNIT
+    if kind == "fun":
+        return SFun(_ident, draw(st.integers(1, i)))
+    if kind == "pair":
+        return SPair(draw(_sem_values(i, size - 1)), draw(_sem_values(i, size - 1)))
+    if kind == "in":
+        return SIn(draw(st.sampled_from((1, 2))), draw(_sem_values(i, size - 1)))
+    if i == 1:
+        return SLATERSTAR
+    form = draw(st.sampled_from(["plain", "<*>"] + (["shell"] if size > 0 else [])))
+    if form == "shell":
+        above = draw(st.integers(i + 1, i + 3))
+        return restrict(draw(_sem_values(above, size - 1, later=True)), i)
+    val = draw(_sem_values(i - 1, size - 1))
+    return SLater(val) if form == "plain" else _app_value(i, val)
+
+
+def _dump(v):
+    """A first-order semantic value or a function read in full, as
+    nested tuples; a function as its callable and ceiling, since SFun
+    has no value equality."""
+    if isinstance(v, SFun):
+        return ("fun", v.fn, v.ceiling)
+    if isinstance(v, (SPair, SIn, SLater)):
+        return (v.__class__.__name__, *[_dump(getattr(v, f)) for f in v.__match_args__])
+    if isinstance(v, int) or v is SLATERSTAR or v is SUNIT:
+        return v
+    raise TypeError(f"not a first-order value: {v!r}")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_restrict_matches_eager_reference_on_generated_values(data):
+    i = data.draw(st.integers(1, 6))
+    v = data.draw(_sem_values(i))
+    j, k = data.draw(st.integers(1, i)), data.draw(st.integers(1, i))
+    assert _dump(restrict(v, j)) == _dump(_eager_restrict(v, j))
+    assert _dump(restrict(restrict(v, j), k)) == _dump(restrict(v, min(j, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -361,21 +424,6 @@ def test_denotation_infers_no_types(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # fix[T]: the marked node and its fixed-point rule
-
-
-def _dump(v):
-    """A first-order semantic value read in full, as nested tuples."""
-    if isinstance(v, int):
-        return v
-    if isinstance(v, SPair):
-        return (_dump(v.left), _dump(v.right))
-    if isinstance(v, SIn):
-        return (v.tag, _dump(v.val))
-    if isinstance(v, SLater):
-        return ("next", _dump(v.val))
-    if v is SLATERSTAR or v is SUNIT:
-        return repr(v)
-    raise TypeError(f"not a first-order value: {v!r}")
 
 
 def _gate_queries(diag_stages=24):

@@ -313,11 +313,15 @@ def test_infer_caches_types_on_closed_nodes_only():
 def test_deep_terms_raise_nesting_too_deep():
     from glam.denot import den_nat
     from glam.machine import eval_term, observe_nat
-    from glam.syntax import Succ, Zero
+    from glam.syntax import Succ, Zero, alpha_eq, erase, free_vars
 
-    deep = Zero()
-    for _ in range(150_000):
-        deep = Succ(deep)
+    def chain():
+        t = Zero()
+        for _ in range(150_000):
+            t = Succ(t)
+        return t
+
+    deep = chain()
     with pytest.raises(NestingTooDeep):
         infer({}, deep)
     with pytest.raises(NestingTooDeep):
@@ -328,3 +332,10 @@ def test_deep_terms_raise_nesting_too_deep():
         eval_term(deep)
     with pytest.raises(NestingTooDeep):
         observe_nat(deep)
+    with pytest.raises(NestingTooDeep):
+        free_vars(deep)
+    with pytest.raises(NestingTooDeep):
+        erase(deep)
+    # a distinct chain: alpha_eq(deep, deep) answers at once by identity
+    with pytest.raises(NestingTooDeep):
+        alpha_eq(deep, chain())
