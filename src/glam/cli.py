@@ -146,14 +146,15 @@ def _bde_arg(name: str):
 
 def cmd_bde_run(args) -> int:
     defs = bdemod.parse_bde(Path(args.file).read_text())
-    out = bdemod.compile_bde(defs, args.name)
     pairs = [_bde_arg(a) for a in args.args]
     n = _given(args.n, DEFAULT_N)
-    applied = out.guarded
+    # the oracle runs first: it refuses a wrong number of streams, which
+    # the compiled term would take as a stuck application
+    want = bdemod.oracle_eval(defs, args.name, [h for _, h in pairs], n)
+    applied = bdemod.compile_bde(defs, args.name).guarded
     for term, _ in pairs:
         applied = App(applied, term)
     got = machine.take_stream(applied, n, fuel=_fuel(args.fuel))
-    want = bdemod.oracle_eval(defs, args.name, [h for _, h in pairs], n)
     print("i compiled oracle")
     for i, (g, w) in enumerate(zip(got, want)):
         print(f"{i} {g} {w}")

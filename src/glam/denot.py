@@ -122,7 +122,6 @@ from .syntax import (
     Var,
     Void,
     Zero,
-    free_vars,
 )
 from . import typecheck
 
@@ -409,13 +408,14 @@ def _den(t: Term, i: int, env: dict) -> SemVal:
 
     A closed subterm denotes the same element at a given stage wherever
     it occurs, so its value is memoized on the (immutable, shared) node
-    by stage, as ``free_vars`` caches ``_fv``; consecutive reducts of a
-    term share almost all of their closed subtrees.  Each entry also
-    records how deep below its caller its computation recursed, and a
-    hit counts that depth against ``depth_limit`` as recomputing the
-    entry would (``_recall``).  Box values (``SGlobal``) and ``<*>``
-    values (``_force``) keep their memos through the same helper, so a
-    warm evaluation is exactly as deep as a cold one.
+    by stage; the node's ``_fv``, stored when it was built, tells whether
+    it is closed.  Consecutive reducts of a term share almost all of
+    their closed subtrees.  Each entry also records how deep below its
+    caller its computation recursed, and a hit counts that depth against
+    ``depth_limit`` as recomputing the entry would (``_recall``).  Box
+    values (``SGlobal``) and ``<*>`` values (``_force``) keep their memos
+    through the same helper, so a warm evaluation is exactly as deep as
+    a cold one.
     """
     try:
         rule = _RULES[t.__class__]
@@ -425,11 +425,7 @@ def _den(t: Term, i: int, env: dict) -> SemVal:
     depth = st.depth + 1
     if depth > st.limit:
         raise DepthExceeded(f"denotation recursion deeper than {st.limit}")
-    try:
-        fv = t._fv
-    except AttributeError:
-        fv = free_vars(t)
-    if fv:
+    if t._fv:
         if depth > st.peak:
             st.peak = depth
         st.depth = depth

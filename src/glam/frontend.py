@@ -252,11 +252,11 @@ class Program:
 #           f ((next \z:Rec_T. unfold z) <*> y <*> next y <*> next f)
 # fix_term(T) = theta (next (fold[Rec_T] theta))   : (|>T -> T) -> T
 #
-# The App node it returns carries the mark ``_fix`` (set like ``_fv``,
-# and just as invisible to printing, alpha_eq and the machines).  It
-# has two readers: ``typecheck._elab1`` copies it onto the node it
-# rebuilds, and ``denot`` denotes a marked node by iterating the fixed
-# point up the stages instead of unrolling theta.
+# The App node it returns carries the mark ``_fix``, set on the node
+# after it is built and invisible to printing, alpha_eq and the
+# machines.  It has two readers: ``typecheck._elab1`` copies it onto
+# the node it rebuilds, and ``denot`` denotes a marked node by
+# iterating the fixed point up the stages instead of unrolling theta.
 
 
 def fix_term(ty: Type) -> Term:

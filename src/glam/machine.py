@@ -68,7 +68,6 @@ from .syntax import (
     Var,
     Zero,
     erase,
-    free_vars,
     numeral,
     numeral_value,
     subst,
@@ -503,11 +502,7 @@ def _shared(t: Term, env: dict, memo: dict) -> _Thunk:
         th = env.get(t.name)
         if th is not None:
             return th
-    try:
-        fv = t._fv
-    except AttributeError:
-        fv = free_vars(t)
-    key = (t, *map(env.get, fv))
+    key = (t, *map(env.get, t._fv))
     th = memo.get(key)
     if th is None:
         th = memo[key] = _Thunk(t, env)

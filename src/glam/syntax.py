@@ -16,10 +16,14 @@ Each class statement declares its class's fields once, in order, with
 what each holds: ``class Lam(Term, var=BINDER, annot=TYPE, body=TERM)``.
 From that line the class gets its constructor and ``__match_args__``,
 and ``SHAPES`` (term classes) or ``TYPE_SHAPES`` (type classes) gets
-its entry.  The structural term traversals (``free_vars``, ``subst``,
-``erase``, ``alpha_eq``) loop over ``SHAPES``; ``free_type_vars``,
-``type_subst``, ``type_alpha_eq`` and the type predicates and metrics
-of glam.typecheck loop over ``TYPE_SHAPES``.
+its entry.  A term's constructor also stores two facts about the node
+that every runner reads: ``_fv``, its free variables, built from its
+subterms' by the kinds of its fields, and ``_nv``, its value if it is a
+numeral (``Zero`` and ``Succ`` declare ``numeral=``), else None.  The
+structural term traversals (``subst``, ``erase``, ``alpha_eq``) loop
+over ``SHAPES``; ``free_type_vars``, ``type_subst``, ``type_alpha_eq``
+and the type predicates and metrics of glam.typecheck loop over
+``TYPE_SHAPES``.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ BINDER = "binder"  # a variable name bound in the next subterm
 SUBST = "subst"  # an explicit substitution: its names alone scope the next subterm
 TERMS = "terms"  # a tuple of subterms
 TYPE = "type"  # a term's type annotation (None when absent), or a type's subtype
-DATA = "data"  # other data: a variable or primitive name
+VAR = "var"  # a variable occurrence: the name is free in the node
+DATA = "data"  # other data: a primitive or type variable name
 
 # Each term class's fields in order, loc left out, with what each field
 # holds.  The machine plugs contexts with it.
@@ -51,16 +56,54 @@ TYPE_SHAPES: dict = {}
 # kind is stored as given
 _STORE = {SUBST: "tuple(tuple(p) for p in {})", TERMS: "tuple({})"}
 
+_EMPTY = frozenset()
+# the generated code's locals start with "_", so that no field name hides them
+_JOIN = "if _p: _fv = _fv | _p if _fv else _p"  # shares _fv or _p when the other is empty
 
-def _declare(cls, shape: dict, loc: bool) -> None:
-    """Give cls a constructor over the fields in shape, then loc=None if loc."""
+
+def _term_facts(shape: dict, numeral) -> list:
+    """The lines that a term constructor runs after storing the fields
+    in shape: they store ``_fv``, the node's free variables, joined from
+    its subterms' by the kinds of their fields, and, when the class
+    declares numeral=k, ``_nv``: k plus the numeral value of its one
+    subterm, if it has one."""
+    lines = ["_fv = _EMPTY"]
+    scope = None  # a binder field, or SUBST, scoping the next subterm
+    for f, kind in shape.items():
+        if kind is TERM:
+            if scope is None:
+                lines += [f"_p = {f}._fv", _JOIN]
+            elif scope is not SUBST:  # a body under a substitution sees only its names
+                lines += [f"_p = {f}._fv", f"if {scope} in _p: _p = _p - {{{scope}}}", _JOIN]
+            scope = None
+        elif kind is BINDER:
+            scope = f
+        elif kind is SUBST:
+            lines += [f"for _, _u in self.{f}:", "    _p = _u._fv", "    " + _JOIN]
+            scope = SUBST
+        elif kind is TERMS:
+            lines += [f"for _u in self.{f}:", "    _p = _u._fv", "    " + _JOIN]
+        elif kind is VAR:
+            lines += [f"_p = frozenset(({f},))", _JOIN]
+    lines.append("_set(self, '_fv', _fv)")
+    if numeral is not None:
+        sub = [f for f, kind in shape.items() if kind is TERM]
+        nv = f"None if {sub[0]}._nv is None else {sub[0]}._nv + {numeral}" if sub else numeral
+        lines.append(f"_set(self, '_nv', {nv})")
+    return lines
+
+
+def _declare(cls, shape: dict, loc: bool, lines=()) -> None:
+    """Give cls a constructor over the fields in shape, then loc=None if
+    loc, that stores them and then runs lines."""
     fields = tuple(shape)
     params = ", ".join(("self",) + fields + (("loc=None",) if loc else ()))
     # straight-line stores, as a dataclass's __init__ makes them: a loop
     # over the fields builds nodes slower
     stores = [f"_set(self, {f!r}, {_STORE.get(k, '{}').format(f)})" for f, k in shape.items()]
     stores += ["_set(self, 'loc', loc)"] if loc else []
-    ns = {"_set": object.__setattr__, "__name__": __name__}
+    stores += lines
+    ns = {"_set": object.__setattr__, "_EMPTY": _EMPTY, "__name__": __name__}
     exec(f"def __init__({params}):\n    " + ("\n    ".join(stores) or "pass"), ns)
     ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__init__ = ns["__init__"]
@@ -121,9 +164,10 @@ VOID = Void()
 
 class Term:
     __slots__ = ()
+    _nv = None  # not a numeral; see numeral_value
 
-    def __init_subclass__(cls, **shape):
-        _declare(cls, shape, loc=True)
+    def __init_subclass__(cls, numeral=None, **shape):
+        _declare(cls, shape, loc=True, lines=_term_facts(shape, numeral))
         SHAPES[cls] = tuple(shape.items())
 
     __setattr__ = __delattr__ = _frozen
@@ -134,9 +178,9 @@ class Term:
         return f"<Term {frontend.pretty(self)}>"
 
 
-class Var(Term, name=DATA): ...
-class Zero(Term): ...
-class Succ(Term, body=TERM): ...
+class Var(Term, name=VAR): ...
+class Zero(Term, numeral=0): ...
+class Succ(Term, body=TERM, numeral=1): ...  # the numeral one above body, if body is one
 class UnitVal(Term): ...
 class Pair(Term, left=TERM, right=TERM): ...
 class Proj1(Term, body=TERM): ...
@@ -195,11 +239,10 @@ _NUMERALS: list = [Zero()]
 def numeral(n: int) -> Term:
     """succ^n zero, as one chain shared by every caller.
 
-    numeral(n) is numeral(n + 1).body, so the nodes' cached ``_fv``,
-    ``_nv`` and memos are filled in once and seen by every later use,
-    the machine's delta rule included.  The cache is process-wide and
-    never shrinks: it holds one node per natural up to the largest
-    numeral built so far.
+    numeral(n) is numeral(n + 1).body, so the nodes' memos are filled
+    in once and seen by every later use, the machine's delta rule
+    included.  The cache is process-wide and never shrinks: it holds
+    one node per natural up to the largest numeral built so far.
     """
     chain = _NUMERALS
     while len(chain) <= n:
@@ -207,85 +250,23 @@ def numeral(n: int) -> Term:
     return chain[n]
 
 
-_NO_NV = object()
-
-
 def numeral_value(t: Term) -> Optional[int]:
-    """The n with t = succ^n zero, or None if t is not a numeral.
-
-    Results are cached on the (immutable) nodes, so repeated checks on
-    long succ spines stay cheap.
-    """
-    spine = []
-    cur = t
-    while True:
-        base = getattr(cur, "_nv", _NO_NV)
-        if base is not _NO_NV:
-            break
-        if isinstance(cur, Zero):
-            base = 0
-            object.__setattr__(cur, "_nv", 0)
-            break
-        if not isinstance(cur, Succ):
-            base = None
-            object.__setattr__(cur, "_nv", None)
-            break
-        spine.append(cur)
-        cur = cur.body
-    n = base
-    for node in reversed(spine):
-        if n is not None:
-            n += 1
-        object.__setattr__(node, "_nv", n)
-    return n
+    """The n with t = succ^n zero, or None if t is not a numeral."""
+    return t._nv
 
 
 # ---------------------------------------------------------------------------
 # Free variables
 
-_HIDDEN = object()  # scope marker: the next subterm sees only an explicit substitution
 
-
-@nesting_guard
 def free_vars(t: Term) -> frozenset:
-    """Free term variables of t.
+    """Free term variables of t, computed when t was built.
 
     The bodies of prev/box/boxp contribute nothing (their variables are
     bound by the explicit substitution list); the listed terms
     contribute normally.
     """
-    return _free_vars(t)
-
-
-def _free_vars(t: Term) -> frozenset:
-    # cached on the node: terms are immutable and shared heavily
-    try:
-        return t._fv
-    except AttributeError:
-        pass
-    if t.__class__ is Var:
-        fv = frozenset((t.name,))
-    else:
-        parts = []
-        scope = None  # a binder name, or _HIDDEN, for the next subterm
-        for name, kind in _shape(t):
-            v = getattr(t, name)
-            if kind is TERM:
-                if scope is None:
-                    parts.append(_free_vars(v))
-                elif scope is not _HIDDEN:
-                    parts.append(_free_vars(v) - {scope})
-                scope = None
-            elif kind is BINDER:
-                scope = v
-            elif kind is SUBST:
-                parts.extend(_free_vars(u) for _, u in v)
-                scope = _HIDDEN
-            elif kind is TERMS:
-                parts.extend(_free_vars(a) for a in v)
-        fv = parts[0] if len(parts) == 1 else frozenset().union(*parts)
-    object.__setattr__(t, "_fv", fv)
-    return fv
+    return t._fv
 
 
 def _strip_primes(x: str) -> str:
@@ -318,10 +299,7 @@ def subst(t: Term, bindings) -> Term:
 
 
 def _applicable(m: dict, t: Term) -> bool:
-    try:
-        fv = t._fv
-    except AttributeError:
-        fv = _free_vars(t)
+    fv = t._fv
     for k in m:
         if k in fv:
             return True
@@ -363,10 +341,10 @@ def _subst_under(x: str, body: Term, m: dict):
     if not m2 or not _applicable(m2, body):
         return x, body
     avoid = set()
-    bfv = _free_vars(body)
+    bfv = body._fv
     for k, v in m2.items():
         if k in bfv:
-            avoid |= _free_vars(v)
+            avoid |= v._fv
     if x in avoid:
         xn = fresh_name(x, avoid | bfv | set(m2))
         body = _subst(body, {x: Var(xn)})
@@ -435,7 +413,7 @@ def _annot_eq(a, b) -> bool:
 
 def _aeq(t, u, envt, envu, ctr) -> bool:
     # the same node under the same renaming, or a closed node, equals itself
-    if t is u and (envt == envu or not _free_vars(t)):
+    if t is u and (envt == envu or not t._fv):
         return True
     if t.__class__ is not u.__class__:
         return False
@@ -487,8 +465,8 @@ def _aeq_under(xs, ys, envt, envu, b1, b2, ctr):
 # ---------------------------------------------------------------------------
 # Types: free variables, substitution, alpha-equivalence
 #
-# Facts about a type that hold in every context are cached on the node,
-# as free_vars caches _fv on terms.
+# Facts about a type that hold in every context are cached on the node
+# when first asked for.
 
 
 def _type_shape(a) -> tuple:

@@ -171,16 +171,12 @@ def _mu_unfold(a: Mu) -> Type:
         return out
 
 
-def _mismatch(msg, loc):
-    return TypeMismatch(msg, loc)
-
-
 def _agree(annot, want, what, loc):
     """Reconcile an annotation with an expected type."""
     if annot is not None and want is not None and not type_alpha_eq(annot, want):
         from .frontend import pretty_type
 
-        raise _mismatch(
+        raise TypeMismatch(
             f"{what} annotated {pretty_type(annot)} but "
             f"{pretty_type(want)} expected",
             loc,
@@ -197,8 +193,7 @@ def elaborate(ctx, t: Term, want: Type | None = None):
     domain-annotated and every inl/inr/fold/abort carries its type, so
     the result always synthesizes.
     """
-    out, ty = _elab(dict(ctx), t, want)
-    return out, ty
+    return _elab(dict(ctx), t, want)
 
 
 @nesting_guard
@@ -219,7 +214,7 @@ def _done(t2, ty, want, loc):
     if want is not None and not type_alpha_eq(ty, want):
         from .frontend import pretty_type
 
-        raise _mismatch(
+        raise TypeMismatch(
             f"has type {pretty_type(ty)} but {pretty_type(want)} expected", loc
         )
     return t2, ty
@@ -230,15 +225,12 @@ def _elab(ctx, t, want):
 
     A closed term elaborates the same way in every context, so the
     result is cached on the (immutable, shared) node per expected type
-    object, as ``free_vars`` caches ``_fv``.  Consecutive reducts share
-    almost all of their closed subtrees, which is what makes typing a
-    whole reduction sequence cheap.  Errors are not cached.
+    object; the node's ``_fv``, stored when it was built, tells whether
+    it is closed.  Consecutive reducts share almost all of their closed
+    subtrees, which is what makes typing a whole reduction sequence
+    cheap.  Errors are not cached.
     """
-    try:
-        fv = t._fv
-    except AttributeError:
-        fv = free_vars(t)
-    if fv:
+    if t._fv:
         return _elab1(ctx, t, want)
     try:
         memo = t._elab_memo
@@ -271,19 +263,19 @@ def _elab1(ctx, t, want):
                 r2, tr = _elab(ctx, r, None)
                 return Pair(l2, r2, loc=t.loc), Prod(tl, tr)
             if not isinstance(want, Prod):
-                raise _mismatch("pair where a non-product is expected", t.loc)
+                raise TypeMismatch("pair where a non-product is expected", t.loc)
             l2, _ = _elab(ctx, l, want.left)
             r2, _ = _elab(ctx, r, want.right)
             return Pair(l2, r2, loc=t.loc), want
         case Proj1(b):
             b2, tb = _elab(ctx, b, None)
             if not isinstance(tb, Prod):
-                raise _mismatch("fst applied to a non-product", t.loc)
+                raise TypeMismatch("fst applied to a non-product", t.loc)
             return _done(Proj1(b2, loc=t.loc), tb.left, want, t.loc)
         case Proj2(b):
             b2, tb = _elab(ctx, b, None)
             if not isinstance(tb, Prod):
-                raise _mismatch("snd applied to a non-product", t.loc)
+                raise TypeMismatch("snd applied to a non-product", t.loc)
             return _done(Proj2(b2, loc=t.loc), tb.right, want, t.loc)
         case Abort(a0, b):
             target = _agree(a0, want, "abort", t.loc)
@@ -298,7 +290,7 @@ def _elab1(ctx, t, want):
             if target is None:
                 raise CannotSynthesize("inl needs a type annotation", t.loc)
             if not isinstance(target, Sum):
-                raise _mismatch("inl must produce a sum type", t.loc)
+                raise TypeMismatch("inl must produce a sum type", t.loc)
             if a0 is not None:
                 wf_type((), a0)
             b2, _ = _elab(ctx, b, target.left)
@@ -308,7 +300,7 @@ def _elab1(ctx, t, want):
             if target is None:
                 raise CannotSynthesize("inr needs a type annotation", t.loc)
             if not isinstance(target, Sum):
-                raise _mismatch("inr must produce a sum type", t.loc)
+                raise TypeMismatch("inr must produce a sum type", t.loc)
             if a0 is not None:
                 wf_type((), a0)
             b2, _ = _elab(ctx, b, target.right)
@@ -316,15 +308,15 @@ def _elab1(ctx, t, want):
         case Case(s, x1, a1, x2, a2):
             s2, ts = _elab(ctx, s, None)
             if not isinstance(ts, Sum):
-                raise _mismatch("case scrutinee is not a sum", t.loc)
+                raise TypeMismatch("case scrutinee is not a sum", t.loc)
             ctx1 = dict(ctx)
             ctx1[x1] = ts.left
             ctx2 = dict(ctx)
             ctx2[x2] = ts.right
             a1n, c1 = _elab(ctx1, a1, want)
-            a2n, c2 = _elab(ctx2, a2, want if want is not None else None)
+            a2n, c2 = _elab(ctx2, a2, want)
             if want is None and not type_alpha_eq(c1, c2):
-                raise _mismatch("case arms have different types", t.loc)
+                raise TypeMismatch("case arms have different types", t.loc)
             return Case(s2, x1, a1n, x2, a2n, loc=t.loc), (want or c1)
         case Lam(x, a0, b):
             if want is None:
@@ -338,9 +330,9 @@ def _elab1(ctx, t, want):
                 b2, tb = _elab(ctx2, b, None)
                 return Lam(x, a0, b2, loc=t.loc), Arrow(a0, tb)
             if not isinstance(want, Arrow):
-                raise _mismatch("lambda where a non-function is expected", t.loc)
+                raise TypeMismatch("lambda where a non-function is expected", t.loc)
             if a0 is not None and not type_alpha_eq(a0, want.dom):
-                raise _mismatch("lambda annotation disagrees with expected domain", t.loc)
+                raise TypeMismatch("lambda annotation disagrees with expected domain", t.loc)
             ctx2 = dict(ctx)
             ctx2[x] = want.dom
             b2, _ = _elab(ctx2, b, want.cod)
@@ -348,7 +340,7 @@ def _elab1(ctx, t, want):
         case App(f, a):
             f2, tf = _elab(ctx, f, None)
             if not isinstance(tf, Arrow):
-                raise _mismatch("application of a non-function", t.loc)
+                raise TypeMismatch("application of a non-function", t.loc)
             a2, _ = _elab(ctx, a, tf.dom)
             t2 = App(f2, a2, loc=t.loc)
             if getattr(t, "_fix", False):  # frontend.fix_term's mark
@@ -359,7 +351,7 @@ def _elab1(ctx, t, want):
             if target is None:
                 raise CannotSynthesize("fold needs a type annotation", t.loc)
             if not isinstance(target, Mu):
-                raise _mismatch("fold must produce a mu-type", t.loc)
+                raise TypeMismatch("fold must produce a mu-type", t.loc)
             if a0 is not None:
                 wf_type((), a0)
             b2, _ = _elab(ctx, b, _mu_unfold(target))
@@ -367,25 +359,25 @@ def _elab1(ctx, t, want):
         case Unfold(b):
             b2, tb = _elab(ctx, b, None)
             if not isinstance(tb, Mu):
-                raise _mismatch("unfold applied to a non-mu type", t.loc)
+                raise TypeMismatch("unfold applied to a non-mu type", t.loc)
             return _done(Unfold(b2, loc=t.loc), _mu_unfold(tb), want, t.loc)
         case Next(b):
             if want is None:
                 b2, tb = _elab(ctx, b, None)
                 return Next(b2, loc=t.loc), Later(tb)
             if not isinstance(want, Later):
-                raise _mismatch("next where a non-later type is expected", t.loc)
+                raise TypeMismatch("next where a non-later type is expected", t.loc)
             b2, _ = _elab(ctx, b, want.body)
             return Next(b2, loc=t.loc), want
         case LaterApp(f, a):
             f2, tf = _elab(ctx, f, None)
             if not (isinstance(tf, Later) and isinstance(tf.body, Arrow)):
-                raise _mismatch("<*> needs a later function on the left", t.loc)
+                raise TypeMismatch("<*> needs a later function on the left", t.loc)
             a2, ta = _elab(ctx, a, None)
             if not isinstance(ta, Later):
-                raise _mismatch("<*> needs a later value on the right", t.loc)
+                raise TypeMismatch("<*> needs a later value on the right", t.loc)
             if not type_alpha_eq(ta.body, tf.body.dom):
-                raise _mismatch("<*> argument type disagrees with the function", t.loc)
+                raise TypeMismatch("<*> argument type disagrees with the function", t.loc)
             return _done(
                 LaterApp(f2, a2, loc=t.loc), Later(tf.body.cod), want, t.loc
             )
@@ -396,13 +388,13 @@ def _elab1(ctx, t, want):
                 return Prev(sig2, b2, loc=t.loc), want
             b2, tb = _elab(ctx2, b, None)
             if not isinstance(tb, Later):
-                raise _mismatch("prev body must have a later type", t.loc)
+                raise TypeMismatch("prev body must have a later type", t.loc)
             return Prev(sig2, b2, loc=t.loc), tb.body
         case BoxI(sig, b):
             sig2, ctx2 = _elab_subst(ctx, t, sig, b)
             if want is not None:
                 if not isinstance(want, Box):
-                    raise _mismatch("box where a non-# type is expected", t.loc)
+                    raise TypeMismatch("box where a non-# type is expected", t.loc)
                 b2, _ = _elab(ctx2, b, want.body)
                 return BoxI(sig2, b2, loc=t.loc), want
             b2, tb = _elab(ctx2, b, None)
@@ -410,7 +402,7 @@ def _elab1(ctx, t, want):
         case Unbox(b):
             b2, tb = _elab(ctx, b, None)
             if not isinstance(tb, Box):
-                raise _mismatch("unbox applied to a non-# type", t.loc)
+                raise TypeMismatch("unbox applied to a non-# type", t.loc)
             return _done(Unbox(b2, loc=t.loc), tb.body, want, t.loc)
         case BoxSum(sig, b):
             sig2, ctx2 = _elab_subst(ctx, t, sig, b)
@@ -420,12 +412,12 @@ def _elab1(ctx, t, want):
                     and isinstance(want.left, Box)
                     and isinstance(want.right, Box)
                 ):
-                    raise _mismatch("boxp must produce a sum of # types", t.loc)
+                    raise TypeMismatch("boxp must produce a sum of # types", t.loc)
                 b2, _ = _elab(ctx2, b, Sum(want.left.body, want.right.body))
                 return BoxSum(sig2, b2, loc=t.loc), want
             b2, tb = _elab(ctx2, b, None)
             if not isinstance(tb, Sum):
-                raise _mismatch("boxp body must have a sum type", t.loc)
+                raise TypeMismatch("boxp body must have a sum type", t.loc)
             return BoxSum(sig2, b2, loc=t.loc), Sum(Box(tb.left), Box(tb.right))
         case Prim(name, args):
             prim = PRIMITIVES.get(name)
@@ -485,10 +477,7 @@ def _syn(ctx, t):
     Raises _Fallback (or a wf_type error) where ``elaborate`` would
     need its checking mode or would fail; nothing is cached then.
     """
-    try:
-        fv = t._fv
-    except AttributeError:
-        fv = free_vars(t)
+    fv = t._fv
     if not fv:
         try:
             return t._ty

@@ -280,6 +280,15 @@ def test_bde_run_unknown_arg(capsys):
     assert main(["bde-run", str(PROGRAMS / "streams.bde"), "plus", "bogus", "zeros"]) == 1
 
 
+@pytest.mark.parametrize("streams", [["toggle"], ["toggle", "toggle", "zeros"]])
+def test_bde_run_refuses_a_wrong_number_of_streams(capsys, streams):
+    argv = ["bde-run", str(PROGRAMS / "streams.bde"), "plus", *streams, "--n", "4"]
+    assert main(argv) == 1
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == f"BdeError: 'plus' has arity 2, given {len(streams)} streams\n"
+
+
 def test_repl_session():
     lines = [
         ":t toggle",

@@ -1,4 +1,5 @@
 import inspect
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -19,6 +20,7 @@ from glam.syntax import (
     TYPE,
     TYPE_SHAPES,
     UNIT,
+    VAR,
     Abort,
     App,
     Arrow,
@@ -117,6 +119,101 @@ def test_free_vars_case_binders():
     assert free_vars(t) == {"s", "c"}
 
 
+# _reference_free_vars recomputes free variables by a recursive walk over
+# SHAPES, and _reference_numeral_value decodes a numeral by walking its
+# spine.  Neither reads or writes anything on the nodes, so together they
+# check the _fv and _nv that the constructors store.
+
+
+def _reference_free_vars(t, memo) -> frozenset:
+    """Free variables of t; memo maps id(node) to those already found."""
+    fv = memo.get(id(t))
+    if fv is not None:
+        return fv
+    if t.__class__ is Var:
+        fv = frozenset((t.name,))
+    else:
+        parts = []
+        scope = None  # a binder name, or SUBST, for the next subterm
+        for name, kind in SHAPES[t.__class__]:
+            v = getattr(t, name)
+            if kind is TERM:
+                if scope is None:
+                    parts.append(_reference_free_vars(v, memo))
+                elif scope is not SUBST:
+                    parts.append(_reference_free_vars(v, memo) - {scope})
+                scope = None
+            elif kind is BINDER:
+                scope = v
+            elif kind is SUBST:
+                parts.extend(_reference_free_vars(u, memo) for _, u in v)
+                scope = SUBST
+            elif kind is TERMS:
+                parts.extend(_reference_free_vars(a, memo) for a in v)
+        fv = frozenset().union(*parts)
+    memo[id(t)] = fv
+    return fv
+
+
+def _reference_numeral_value(t):
+    n = 0
+    while isinstance(t, Succ):
+        t, n = t.body, n + 1
+    return n if isinstance(t, Zero) else None
+
+
+def _check_facts(terms, seen=None, memo=None) -> int:
+    """Check _fv and numeral_value against the references on every node
+    of terms not in seen, which maps id(node) to node (so that no id in
+    it or in memo, the reference walk's, is reused while they are kept);
+    returns the number of nodes checked."""
+    seen = {} if seen is None else seen
+    memo = {} if memo is None else memo
+    todo, n = list(terms), 0
+    while todo:
+        u = todo.pop()
+        if id(u) in seen:
+            continue
+        seen[id(u)] = u
+        n += 1
+        assert u._fv == _reference_free_vars(u, memo), u
+        assert numeral_value(u) == _reference_numeral_value(u), u
+        for name, kind in SHAPES[u.__class__]:
+            v = getattr(u, name)
+            if kind is TERM:
+                todo.append(v)
+            elif kind is TERMS:
+                todo.extend(v)
+            elif kind is SUBST:
+                todo.extend(w for _, w in v)
+    return n
+
+
+def test_construction_facts_match_reference_on_programs_and_reducts():
+    from glam.frontend import parse_program
+    from glam.prelude import EXTRAS_PATH, PRELUDE_PATH
+    from glam.typecheck import elaborate
+
+    prelude = parse_program(PRELUDE_PATH.read_text())
+    demo = Path(__file__).parent.parent / "programs" / "demo.gl"
+    programs = [prelude] + [parse_program(p.read_text(), base=prelude) for p in (EXTRAS_PATH, demo)]
+    assert _check_facts(d.body for p in programs for d in p) > 500
+    # every step and step_rd reduct of each elaborated corpus probe, and
+    # their elaborations (test_alpha_eq_matches_reference_on_step_reducts
+    # checks the reducts of the erased probes)
+    reducts = 0
+    for _, t, _ in corpus.nat_corpus():
+        t, seen, memo = elaborate({}, t, NAT)[0], {}, {}
+        while True:
+            a, b = M.step(t), M.step_rd(t)
+            if a is None or b is None:
+                break
+            _check_facts([a, b, elaborate({}, a, NAT)[0], elaborate({}, b, NAT)[0]], seen, memo)
+            reducts += 1
+            t = a
+    assert reducts > 5000
+
+
 # ---------------------------------------------------------------------------
 # Alpha-equivalence examples
 
@@ -205,7 +302,8 @@ def _sample(c):
     if c in TYPE_SHAPES:
         return [NAT if f in TYPE_SHAPES[c] else "a" for f in c.__match_args__]
     made = {
-        TERM: Zero(), BINDER: "x", SUBST: [["x", Zero()]], TERMS: [Zero()], TYPE: NAT, DATA: "addN"
+        TERM: Var("y"), BINDER: "x", SUBST: [["x", Var("z")]], TERMS: [Var("w")], TYPE: NAT,
+        VAR: "v", DATA: "addN",
     }
     return [made[kind] for _, kind in SHAPES[c]]
 
@@ -231,6 +329,8 @@ def test_syntax_class_contract(c):
             setattr(x, f, getattr(x, f))
         with pytest.raises(AttributeError):
             delattr(x, f)
+    if term:
+        assert x._fv == _reference_free_vars(x, {})
     with pytest.raises(AttributeError):
         x._fv = frozenset()
     object.__setattr__(x, "_fv", frozenset("q"))
@@ -417,6 +517,12 @@ def test_erase_properties(t):
 
 
 @given(_terms)
+@settings(max_examples=300, derandomize=True)
+def test_construction_facts_match_reference_on_generated_terms(t):
+    _check_facts([t, erase(t), subst(t, {"x": Succ(Var("y"))})])
+
+
+@given(_terms)
 @settings(max_examples=150)
 def test_alpha_eq_equivalence(t):
     a, b, c = t, _freshen(t), _freshen(_freshen(t), 100)
@@ -528,15 +634,17 @@ def test_alpha_eq_matches_reference(t, u):
 
 
 def test_alpha_eq_matches_reference_on_step_reducts():
-    # each call-by-name step against the structural-recursion step
+    # each call-by-name step against the structural-recursion step, and
+    # the construction facts of both reducts
     for _, t, _ in corpus.nat_corpus():
-        t = erase(t)
+        t, seen, memo = erase(t), {}, {}
         while True:
             a, b = M.step(t), M.step_rd(t)
             if a is None or b is None:
                 break
             assert alpha_eq(a, b) == _reference_alpha_eq(a, b) is True
             assert alpha_eq(a, t) == _reference_alpha_eq(a, t)
+            _check_facts([a, b], seen, memo)
             t = a
 
 

@@ -5,6 +5,7 @@ import pytest
 import corpus
 from glam.errors import (
     CannotSynthesize,
+    DepthExceeded,
     EscapingVariable,
     NestingTooDeep,
     NonConstantSubstType,
@@ -313,7 +314,7 @@ def test_infer_caches_types_on_closed_nodes_only():
 def test_deep_terms_raise_nesting_too_deep():
     from glam.denot import den_nat
     from glam.machine import eval_term, observe_nat
-    from glam.syntax import Succ, Zero, alpha_eq, erase, free_vars
+    from glam.syntax import Succ, Zero, alpha_eq, erase, free_vars, numeral_value
 
     def chain():
         t = Zero()
@@ -326,14 +327,15 @@ def test_deep_terms_raise_nesting_too_deep():
         infer({}, deep)
     with pytest.raises(NestingTooDeep):
         den_nat(deep, 1)
-    with pytest.raises(NestingTooDeep):
+    # _den's own depth budget stops it before the Python stack does
+    with pytest.raises(DepthExceeded):
         den_nat(deep, 1, elaborated=True)
     with pytest.raises(NestingTooDeep):
         eval_term(deep)
     with pytest.raises(NestingTooDeep):
         observe_nat(deep)
-    with pytest.raises(NestingTooDeep):
-        free_vars(deep)
+    # both are stored by the constructors: no walk, under any recursion limit
+    assert free_vars(deep) == frozenset() and numeral_value(deep) == 150_000
     with pytest.raises(NestingTooDeep):
         erase(deep)
     # a distinct chain: alpha_eq(deep, deep) answers at once by identity
