@@ -368,6 +368,8 @@ def erase(t: Term) -> Term:
 
 
 def _erase(t: Term) -> Term:
+    if t._nv is not None:  # a numeral holds no annotation
+        return t
     if t.__class__ is Ascribe:
         return _erase(t.body)
     out = []

@@ -6,7 +6,9 @@ expected type (or synthesizes one) and returns the term with every
 binder and constructor annotation filled in.  On an elaborated term
 every node synthesizes, which is what the subject-reduction and
 denotational machinery rely on; ``check`` is ``elaborate`` against a
-given type.
+given type.  Two of its rules each serve a family: one types the unary
+eliminators (fst, snd, unfold, unbox) from the table ``_ELIM``, and one
+the annotated introductions (abort, inl, inr, fold) from ``_INTRO``.
 
 ``infer`` types a term by synthesis alone (``_syn``), with the rules of
 ``elaborate``'s synthesis mode, and builds no term nodes.  The type of
@@ -171,17 +173,25 @@ def _mu_unfold(a: Mu) -> Type:
         return out
 
 
-def _agree(annot, want, what, loc):
-    """Reconcile an annotation with an expected type."""
-    if annot is not None and want is not None and not type_alpha_eq(annot, want):
-        from .frontend import pretty_type
+# The unary eliminators: the type former the operand must have, the
+# error when it has another, and the part of the operand's type that the
+# result has.
+_ELIM = {
+    Proj1: (Prod, "fst applied to a non-product", lambda a: a.left),
+    Proj2: (Prod, "snd applied to a non-product", lambda a: a.right),
+    Unfold: (Mu, "unfold applied to a non-mu type", _mu_unfold),
+    Unbox: (Box, "unbox applied to a non-# type", lambda a: a.body),
+}
 
-        raise TypeMismatch(
-            f"{what} annotated {pretty_type(annot)} but "
-            f"{pretty_type(want)} expected",
-            loc,
-        )
-    return annot if annot is not None else want
+# The annotated introductions: the keyword, the type former the target
+# must have (abort takes any type), the error when it has another, and
+# the part of the target that the body is checked against.
+_INTRO = {
+    Abort: ("abort", Type, None, lambda a: VOID),
+    In1: ("inl", Sum, "inl must produce a sum type", lambda a: a.left),
+    In2: ("inr", Sum, "inr must produce a sum type", lambda a: a.right),
+    Fold: ("fold", Mu, "fold must produce a mu-type", _mu_unfold),
+}
 
 
 @nesting_guard
@@ -250,7 +260,7 @@ def _elab1(ctx, t, want):
             if ty is None:
                 raise UnboundVariable(f"unbound variable {x!r}", t.loc)
             return _done(t, ty, want, t.loc)
-        case Zero():
+        case Zero() | Succ() if t._nv is not None:  # a numeral: nothing to fill in
             return _done(t, NAT, want, t.loc)
         case Succ(b):
             b2, _ = _elab(ctx, b, NAT)
@@ -267,44 +277,30 @@ def _elab1(ctx, t, want):
             l2, _ = _elab(ctx, l, want.left)
             r2, _ = _elab(ctx, r, want.right)
             return Pair(l2, r2, loc=t.loc), want
-        case Proj1(b):
+        case Proj1(b) | Proj2(b) | Unfold(b) | Unbox(b):
+            former, wrong, part = _ELIM[t.__class__]
             b2, tb = _elab(ctx, b, None)
-            if not isinstance(tb, Prod):
-                raise TypeMismatch("fst applied to a non-product", t.loc)
-            return _done(Proj1(b2, loc=t.loc), tb.left, want, t.loc)
-        case Proj2(b):
-            b2, tb = _elab(ctx, b, None)
-            if not isinstance(tb, Prod):
-                raise TypeMismatch("snd applied to a non-product", t.loc)
-            return _done(Proj2(b2, loc=t.loc), tb.right, want, t.loc)
-        case Abort(a0, b):
-            target = _agree(a0, want, "abort", t.loc)
+            if not isinstance(tb, former):
+                raise TypeMismatch(wrong, t.loc)
+            return _done(t.__class__(b2, loc=t.loc), part(tb), want, t.loc)
+        case Abort(a0, b) | In1(a0, b) | In2(a0, b) | Fold(a0, b):
+            what, former, wrong, part = _INTRO[t.__class__]
+            if a0 is not None and want is not None and not type_alpha_eq(a0, want):
+                from .frontend import pretty_type
+
+                raise TypeMismatch(
+                    f"{what} annotated {pretty_type(a0)} but {pretty_type(want)} expected",
+                    t.loc,
+                )
+            target = want if a0 is None else a0
             if target is None:
-                raise CannotSynthesize("abort needs a type annotation", t.loc)
+                raise CannotSynthesize(f"{what} needs a type annotation", t.loc)
+            if not isinstance(target, former):
+                raise TypeMismatch(wrong, t.loc)
             if a0 is not None:
                 wf_type((), a0)
-            b2, _ = _elab(ctx, b, VOID)
-            return Abort(target, b2, loc=t.loc), target
-        case In1(a0, b):
-            target = _agree(a0, want, "inl", t.loc)
-            if target is None:
-                raise CannotSynthesize("inl needs a type annotation", t.loc)
-            if not isinstance(target, Sum):
-                raise TypeMismatch("inl must produce a sum type", t.loc)
-            if a0 is not None:
-                wf_type((), a0)
-            b2, _ = _elab(ctx, b, target.left)
-            return In1(target, b2, loc=t.loc), target
-        case In2(a0, b):
-            target = _agree(a0, want, "inr", t.loc)
-            if target is None:
-                raise CannotSynthesize("inr needs a type annotation", t.loc)
-            if not isinstance(target, Sum):
-                raise TypeMismatch("inr must produce a sum type", t.loc)
-            if a0 is not None:
-                wf_type((), a0)
-            b2, _ = _elab(ctx, b, target.right)
-            return In2(target, b2, loc=t.loc), target
+            b2, _ = _elab(ctx, b, part(target))
+            return t.__class__(target, b2, loc=t.loc), target
         case Case(s, x1, a1, x2, a2):
             s2, ts = _elab(ctx, s, None)
             if not isinstance(ts, Sum):
@@ -346,21 +342,6 @@ def _elab1(ctx, t, want):
             if getattr(t, "_fix", False):  # frontend.fix_term's mark
                 object.__setattr__(t2, "_fix", True)
             return _done(t2, tf.cod, want, t.loc)
-        case Fold(a0, b):
-            target = _agree(a0, want, "fold", t.loc)
-            if target is None:
-                raise CannotSynthesize("fold needs a type annotation", t.loc)
-            if not isinstance(target, Mu):
-                raise TypeMismatch("fold must produce a mu-type", t.loc)
-            if a0 is not None:
-                wf_type((), a0)
-            b2, _ = _elab(ctx, b, _mu_unfold(target))
-            return Fold(target, b2, loc=t.loc), target
-        case Unfold(b):
-            b2, tb = _elab(ctx, b, None)
-            if not isinstance(tb, Mu):
-                raise TypeMismatch("unfold applied to a non-mu type", t.loc)
-            return _done(Unfold(b2, loc=t.loc), _mu_unfold(tb), want, t.loc)
         case Next(b):
             if want is None:
                 b2, tb = _elab(ctx, b, None)
@@ -399,11 +380,6 @@ def _elab1(ctx, t, want):
                 return BoxI(sig2, b2, loc=t.loc), want
             b2, tb = _elab(ctx2, b, None)
             return BoxI(sig2, b2, loc=t.loc), Box(tb)
-        case Unbox(b):
-            b2, tb = _elab(ctx, b, None)
-            if not isinstance(tb, Box):
-                raise TypeMismatch("unbox applied to a non-# type", t.loc)
-            return _done(Unbox(b2, loc=t.loc), tb.body, want, t.loc)
         case BoxSum(sig, b):
             sig2, ctx2 = _elab_subst(ctx, t, sig, b)
             if want is not None:
@@ -520,7 +496,8 @@ def _syn_var(ctx, t):
 
 
 def _syn_succ(ctx, t):
-    _same(_syn(ctx, t.body), NAT)
+    if t._nv is None:  # a numeral is a Nat as it stands
+        _same(_syn(ctx, t.body), NAT)
     return NAT
 
 

@@ -89,6 +89,17 @@ def test_deep_nesting_is_one_line_error(capsys, tmp_path):
     assert err.startswith("NestingTooDeep: ") and err.count("\n") == 1
 
 
+def test_large_numeral_checks_and_runs(capsys, tmp_path):
+    path = tmp_path / "big.gl"
+    path.write_text("def big : Nat = 150000;")
+    assert main(["check", str(path)]) == 0
+    assert main(["run", str(path), "big"]) == 0
+    assert capsys.readouterr().out == "big : Nat\n150000\n"
+    # the denotation walks the numeral, within its depth budget
+    assert main(["denote", str(path), "big"]) == 1
+    assert capsys.readouterr().err.startswith("DepthExceeded: ")
+
+
 def test_non_ascii_digit_is_one_line_parse_error(capsys, tmp_path):
     path = tmp_path / "digit.gl"
     path.write_text("def x : Nat = ²;", encoding="utf-8")

@@ -480,6 +480,17 @@ def test_fixpoint_rule_matches_y_combinator(monkeypatch):
         assert got == want
 
 
+def test_fixpoint_calls_f_at_each_stage_from_one_up():
+    stages = []
+
+    def f(k, later):
+        stages.append(k)
+        return k
+
+    assert denot._fixpoint(5, SFun(f, 5)) == 5
+    assert stages == [1, 2, 3, 4, 5]
+
+
 def _marked_nodes(t):
     """The distinct nodes of t that carry fix_term's mark."""
     out, seen, todo = [], set(), [t]

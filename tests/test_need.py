@@ -119,6 +119,16 @@ def test_take_stream_fuel_bounds_each_observation():
         reference_take(omega, 1, fuel=1000)
     with pytest.raises(FuelExhaustedError):
         take_stream(omega, 1, fuel=1000)
+    # nothing is shared, so each applied substitution costs a step on
+    # both machines; the head (10 steps) costs more than the tail (8)
+    head = "0"
+    for _ in range(4):
+        head = f"prev{{y <- {head}}}. next y"
+    t = corpus.term(f"fold[mu a. Nat * |>a] ({head}, next zeros)")
+    want, most = reference_take(t, 1)
+    assert take_stream(t, 1, fuel=most) == want == [0]
+    with pytest.raises(FuelExhaustedError):
+        take_stream(t, 1, fuel=most - 1)
 
 
 @pytest.mark.parametrize(

@@ -241,6 +241,44 @@ def test_ill_formed_type_table():
         assert e.value.code == code, name
 
 
+_UNGUARDED = "recursion variable 'a' is not guarded in <Type a>"
+
+
+@pytest.mark.parametrize(
+    "src,cls,message,loc",
+    [
+        ("fst 0", TypeMismatch, "fst applied to a non-product", (1, 1)),
+        ("snd 0", TypeMismatch, "snd applied to a non-product", (1, 1)),
+        ("unfold 0", TypeMismatch, "unfold applied to a non-mu type", (1, 1)),
+        ("unbox 0", TypeMismatch, "unbox applied to a non-# type", (1, 1)),
+        ("(fst (0, ()) : Unit)", TypeMismatch, "has type Nat but Unit expected", (1, 2)),
+        ("abort 0", CannotSynthesize, "abort needs a type annotation", (1, 1)),
+        ("inl 0", CannotSynthesize, "inl needs a type annotation", (1, 1)),
+        ("inr 0", CannotSynthesize, "inr needs a type annotation", (1, 1)),
+        ("fold 0", CannotSynthesize, "fold needs a type annotation", (1, 1)),
+        (
+            "(inl[Nat + Unit] 0 : Unit + Nat)",
+            TypeMismatch,
+            "inl annotated Nat + Unit but Unit + Nat expected",
+            (1, 2),
+        ),
+        ("inl[Nat] 0", TypeMismatch, "inl must produce a sum type", (1, 1)),
+        ("inr[Unit] ()", TypeMismatch, "inr must produce a sum type", (1, 1)),
+        ("fold[Nat * Nat] (0, 0)", TypeMismatch, "fold must produce a mu-type", (1, 1)),
+        # the shared numeral node carries no location
+        ("abort[Nat] 0", TypeMismatch, "has type Nat but Void expected", None),
+        # the target's former is checked before the annotation is well-formed
+        ("inl[mu a. a] 0", TypeMismatch, "inl must produce a sum type", (1, 1)),
+        ("fold[mu a. a] 0", UnguardedMu, _UNGUARDED, None),
+    ],
+)
+def test_eliminator_and_annotated_introduction_errors(src, cls, message, loc):
+    with pytest.raises(TypingError) as e:
+        elaborate({}, parse_term(src))
+    got = (type(e.value), e.value.code, e.value.message, e.value.loc)
+    assert got == (cls, cls.code, message, loc)
+
+
 # ---------------------------------------------------------------------------
 # Structural properties
 
@@ -313,11 +351,13 @@ def test_infer_caches_types_on_closed_nodes_only():
 
 def test_deep_terms_raise_nesting_too_deep():
     from glam.denot import den_nat
-    from glam.machine import eval_term, observe_nat
+    from glam.machine import Value, eval_term, observe_nat
     from glam.syntax import Succ, Zero, alpha_eq, erase, free_vars, numeral_value
 
     def chain():
-        t = Zero()
+        # a numeral elaborates, erases and runs at once, so the spine
+        # sits over a redex
+        t = _t("(\\x : Nat. x) 0")
         for _ in range(150_000):
             t = Succ(t)
         return t
@@ -334,10 +374,19 @@ def test_deep_terms_raise_nesting_too_deep():
         eval_term(deep)
     with pytest.raises(NestingTooDeep):
         observe_nat(deep)
-    # both are stored by the constructors: no walk, under any recursion limit
-    assert free_vars(deep) == frozenset() and numeral_value(deep) == 150_000
+    # stored by the constructor: no walk, under any recursion limit
+    assert free_vars(deep) == frozenset()
     with pytest.raises(NestingTooDeep):
         erase(deep)
     # a distinct chain: alpha_eq(deep, deep) answers at once by identity
     with pytest.raises(NestingTooDeep):
         alpha_eq(deep, chain())
+
+    big = Zero()
+    for _ in range(150_000):
+        big = Succ(big)
+    assert numeral_value(big) == 150_000
+    assert infer({}, big) is NAT
+    check({}, big, NAT)
+    out = eval_term(big)
+    assert isinstance(out, Value) and out.term is big and out.steps == 0
