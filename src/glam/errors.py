@@ -4,8 +4,11 @@ Every error carries a stable machine-readable ``code`` plus a human
 message; ``render()`` produces the one-line form used by the CLI,
 with a source span when one is known.  ``nesting_guard`` turns a
 ``RecursionError`` into ``NestingTooDeep`` at the recursive entry
-points (the parsers, the type checker, ``machine.eval_term`` and
-``observe_nat``, ``denot.den_term`` and the CLI's subcommands).
+points: the parsers (``frontend.parse_term``, ``parse_type`` and
+``parse_program``, ``bde.parse_bde``), the type checker
+(``elaborate``, ``infer``, ``check``), ``syntax.erase`` and
+``alpha_eq``, ``machine.eval_term`` and ``observe_nat``,
+``denot.den_term`` and ``den_take``, and the CLI's subcommands.
 """
 
 import functools

@@ -1,7 +1,11 @@
 """Deterministic call-by-name small-step evaluator and observations.
 
-``step`` decomposes a closed term into an evaluation context around
-the unique redex by an iterative context search; ``step_rd`` is an
+One iterative context search, ``_walk``, decomposes a closed term
+into an evaluation context around the unique redex and, after each
+contraction, goes on from the reduct with the same context stack
+rather than from the root (refocusing).  ``step`` is its first move,
+``trace`` plugs each of its contractions into the whole term, and
+``eval_term`` counts them against the fuel.  ``step_rd`` is an
 independent recursive-descent implementation used to cross-check
 determinism.  Reduction ignores type annotations entirely;
 ``syntax.erase`` (importable from here too) strips annotations and
@@ -217,6 +221,65 @@ def _box_sum_ann(ann):
 # ---------------------------------------------------------------------------
 # Context search (primary step implementation)
 
+# The evaluation contexts: the fields each context class evaluates, in
+# order.  The hole is in the first of them that is not a value; a
+# primitive's arguments are its ("args", i) fields, left to right.
+_HOLES = {
+    Succ: ("body",),
+    Proj1: ("body",),
+    Proj2: ("body",),
+    Unfold: ("body",),
+    Unbox: ("body",),
+    Prev: ("body",),
+    BoxSum: ("body",),
+    Case: ("scrut",),
+    App: ("fun",),
+    LaterApp: ("fun", "arg"),
+}
+
+
+def _hole(t: Term):
+    """The field of t holding the evaluation context's hole, or None."""
+    if t.__class__ is Prim:
+        for i, a in enumerate(t.args):
+            if not is_value(a):
+                return ("args", i)
+        return None
+    for fld in _HOLES.get(t.__class__, ()):
+        if not is_value(getattr(t, fld)):
+            return fld
+    return None
+
+
+def _walk(t: Term):
+    """The call-by-name reduction of t as one context search.
+
+    The context stack is kept across contractions: the search goes on
+    from the reduct, and climbs back out once the hole holds a value
+    (refocusing).  Yields (frames, redex, reduct) for each contraction
+    and, last, (frames, u, None) for the normal or stuck subterm u.  A
+    frame is (parent node, field) as ``_set_child`` takes it; the
+    frames are valid until the walk resumes.
+    """
+    frames = []
+    cur = t
+    while True:
+        red = _contract(cur)
+        if red is not None:
+            yield frames, cur, red
+            cur = red
+            continue
+        fld = _hole(cur)
+        if fld is not None:
+            frames.append((cur, fld))
+            cur = cur.args[fld[1]] if fld.__class__ is tuple else getattr(cur, fld)
+        elif frames and is_value(cur):
+            parent, fld = frames.pop()
+            cur = _set_child(parent, fld, cur)
+        else:
+            yield frames, cur, None
+            return
+
 
 def step(t: Term):
     """One call-by-name step, or None if no decomposition exists.
@@ -224,72 +287,8 @@ def step(t: Term):
     None on a value means normal form; None on a non-value means the
     term is stuck (ill-typed or open).
     """
-    frames = []  # (parent node, field name) or (parent, ("args", i))
-    cur = t
-    while True:
-        red = _contract(cur)
-        if red is not None:
-            return _plug(frames, red)
-        desc = _descend(cur)
-        if desc is None:
-            return None
-        frames.append((cur, desc))
-        cur = cur.args[desc[1]] if isinstance(desc, tuple) else getattr(cur, desc)
-
-
-def _d_body(t):
-    return None if is_value(t.body) else "body"
-
-
-def _d_case(t):
-    return None if is_value(t.scrut) else "scrut"
-
-
-def _d_app(t):
-    return None if is_value(t.fun) else "fun"
-
-
-def _d_binder(t):
-    if t.subst:
-        return None  # non-empty substitution is a redex, not a context
-    return None if is_value(t.body) else "body"
-
-
-def _d_laterapp(t):
-    if not is_value(t.fun):
-        return "fun"
-    if not is_value(t.arg):
-        return "arg"
-    return None
-
-
-def _d_prim(t):
-    for i, a in enumerate(t.args):
-        if not is_value(a):
-            return ("args", i)
-    return None
-
-
-_DESCEND = {
-    Succ: _d_body,
-    Proj1: _d_body,
-    Proj2: _d_body,
-    Unfold: _d_body,
-    Unbox: _d_body,
-    Case: _d_case,
-    App: _d_app,
-    Prev: _d_binder,
-    BoxSum: _d_binder,
-    LaterApp: _d_laterapp,
-    Prim: _d_prim,
-}
-
-
-def _descend(t: Term):
-    """The evaluation-context position at the root of t: the unique
-    non-value child the strategy evaluates next, if any."""
-    h = _DESCEND.get(t.__class__)
-    return h(t) if h is not None else None
+    frames, _, red = next(_walk(t))
+    return None if red is None else _plug(frames, red)
 
 
 def _set_child(parent: Term, fld, child: Term) -> Term:
@@ -308,42 +307,6 @@ def _plug(frames, t: Term) -> Term:
     for parent, fld in reversed(frames):
         t = _set_child(parent, fld, t)
     return t
-
-
-def _run(t: Term, fuel: int):
-    """Drive the step relation to a normal form without re-searching
-    from the root after every contraction.
-
-    Performs exactly the call-by-name reduction sequence of ``step``
-    (the context stack is kept across contractions) and returns
-    (final term, steps, outcome class).
-    """
-    frames = []
-    steps = 0
-    cur = t
-    contract = _CONTRACT.get
-    descend = _DESCEND.get
-    while True:
-        h = contract(cur.__class__)
-        red = h(cur) if h is not None else None
-        if red is not None:
-            if steps >= fuel:
-                return _plug(frames, cur), steps, FuelExhausted
-            steps += 1
-            cur = red
-            continue
-        h = descend(cur.__class__)
-        desc = h(cur) if h is not None else None
-        if desc is not None:
-            frames.append((cur, desc))
-            cur = cur.args[desc[1]] if isinstance(desc, tuple) else getattr(cur, desc)
-            continue
-        if not is_value(cur):
-            return _plug(frames, cur), steps, Stuck
-        if not frames:
-            return cur, steps, Value
-        parent, fld = frames.pop()
-        cur = _set_child(parent, fld, cur)
 
 
 # ---------------------------------------------------------------------------
@@ -676,8 +639,13 @@ def eval_term(t: Term, fuel: int = DEFAULT_FUEL, pre_erase: bool = True) -> Eval
     """Iterate step until a value or the fuel runs out."""
     if pre_erase:
         t = erase(t)
-    out, steps, cls = _run(t, fuel)
-    return cls(out, steps)
+    steps = 0
+    for frames, cur, red in _walk(t):
+        if red is None:
+            return (Value if is_value(cur) else Stuck)(_plug(frames, cur), steps)
+        if steps >= fuel:
+            return FuelExhausted(_plug(frames, cur), steps)
+        steps += 1
 
 
 def trace(t: Term, max_steps: int = DEFAULT_FUEL, pre_erase: bool = True):
@@ -685,12 +653,12 @@ def trace(t: Term, max_steps: int = DEFAULT_FUEL, pre_erase: bool = True):
     if pre_erase:
         t = erase(t)
     out = [t]
+    walk = _walk(t)
     while len(out) <= max_steps:
-        nxt = step(t)
-        if nxt is None:
+        frames, _, red = next(walk)
+        if red is None:
             break
-        t = nxt
-        out.append(t)
+        out.append(_plug(frames, red))
     return out
 
 
@@ -759,8 +727,8 @@ def observe_conat(t: Term, limit: int, fuel: int = DEFAULT_FUEL):
     finished is False when the budget ran out with the conatural still
     unfolding (e.g. infinity).
     """
-    cur = erase(t)
-    if isinstance(_force_value(cur, fuel, pre_erase=False), BoxI):
+    cur = _force_value(t, fuel)
+    if isinstance(cur, BoxI):
         cur = Unbox(cur)
     n = 0
     while n < limit:

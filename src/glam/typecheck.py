@@ -40,6 +40,7 @@ from .errors import (
     UnguardedMu,
     nesting_guard,
 )
+from .frontend import pretty_type
 from .syntax import (
     NAT,
     PRIMITIVES,
@@ -130,7 +131,7 @@ def wf_type(tyvars, a: Type) -> None:
             raise UnboundTypeVar(f"unbound type variable {a.name!r}")
     elif cls is Box:
         if free_type_vars(a.body):
-            raise OpenBox(f"# applied to an open type: {a.body!r}")
+            raise OpenBox(f"# applied to an open type: {pretty_type(a.body)}")
         wf_type(frozenset(), a.body)
     else:
         inner = tyvars | {a.var} if cls is Mu else tyvars
@@ -138,7 +139,7 @@ def wf_type(tyvars, a: Type) -> None:
             wf_type(inner, getattr(a, f))
         if cls is Mu and not guarded_in(a.var, a.body):
             raise UnguardedMu(
-                f"recursion variable {a.var!r} is not guarded in {a.body!r}"
+                f"recursion variable {a.var!r} is not guarded in {pretty_type(a.body)}"
             )
     if not tyvars:
         object.__setattr__(a, "_wf", True)
@@ -222,8 +223,6 @@ def check(ctx, t: Term, a: Type) -> None:
 
 def _done(t2, ty, want, loc):
     if want is not None and not type_alpha_eq(ty, want):
-        from .frontend import pretty_type
-
         raise TypeMismatch(
             f"has type {pretty_type(ty)} but {pretty_type(want)} expected", loc
         )
@@ -239,18 +238,27 @@ def _elab(ctx, t, want):
     it is closed.  Consecutive reducts share almost all of their closed
     subtrees, which is what makes typing a whole reduction sequence
     cheap.  Errors are not cached.
+
+    An error without a location takes this node's as it passes up, so
+    an error at a node without one (a shared numeral, an ill-formed
+    annotation) is reported at the nearest enclosing node that has one.
     """
-    if t._fv:
-        return _elab1(ctx, t, want)
     try:
-        memo = t._elab_memo
-    except AttributeError:
-        memo = {}
-        object.__setattr__(t, "_elab_memo", memo)
-    out = memo.get(want)
-    if out is None:
-        out = memo[want] = _elab1(ctx, t, want)
-    return out
+        if t._fv:
+            return _elab1(ctx, t, want)
+        try:
+            memo = t._elab_memo
+        except AttributeError:
+            memo = {}
+            object.__setattr__(t, "_elab_memo", memo)
+        out = memo.get(want)
+        if out is None:
+            out = memo[want] = _elab1(ctx, t, want)
+        return out
+    except TypingError as e:
+        if e.loc is None:
+            e.loc = t.loc
+        raise
 
 
 def _elab1(ctx, t, want):
@@ -286,9 +294,7 @@ def _elab1(ctx, t, want):
         case Abort(a0, b) | In1(a0, b) | In2(a0, b) | Fold(a0, b):
             what, former, wrong, part = _INTRO[t.__class__]
             if a0 is not None and want is not None and not type_alpha_eq(a0, want):
-                from .frontend import pretty_type
-
-                raise TypeMismatch(
+                        raise TypeMismatch(
                     f"{what} annotated {pretty_type(a0)} but {pretty_type(want)} expected",
                     t.loc,
                 )
@@ -421,9 +427,7 @@ def _elab_subst(ctx, t, sig, body):
         seen.add(x)
         u2, tu = _elab(ctx, u, None)
         if not is_constant(tu):
-            from .frontend import pretty_type
-
-            raise NonConstantSubstType(
+                raise NonConstantSubstType(
                 f"substituted variable {x!r} has non-constant type {pretty_type(tu)}",
                 t.loc,
             )

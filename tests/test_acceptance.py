@@ -90,11 +90,12 @@ def test_criterion_4_determinism_and_normal_forms():
     with _Budget(4, "determinism & normal forms", 30.0):
         for name, t, _ in corpus.sr_corpus():
             tr = M.trace(t, 10**6)
-            for u in tr:
+            for k, u in enumerate(tr):
                 a, b = M.step(u), M.step_rd(u)
                 assert (a is None) == (b is None), name
                 if a is not None:
                     assert alpha_eq(a, b), name
+                    assert alpha_eq(tr[k + 1], a), name
                 assert M.is_value(u) == (a is None), name
             assert M.is_value(tr[-1]), f"{name} did not reach a value"
             assert len(tr) - 1 < 10**6

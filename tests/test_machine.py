@@ -205,6 +205,15 @@ def test_observe_conat():
     assert observe_conat(_t("box infinity"), 3) == (3, False)
 
 
+def test_observe_conat_evaluates_its_start_once():
+    # 4 steps to the value; the first unfolding and the next take 1 each
+    t = _t("(\\x. x) ((\\x. x) ((\\x. x) (cosucc cozero)))")
+    assert eval_term(t).steps == 4
+    assert observe_conat(t, 5, fuel=4) == (1, True)
+    with pytest.raises(FuelExhaustedError):
+        observe_conat(t, 5, fuel=3)
+
+
 # ---------------------------------------------------------------------------
 # Global machine properties (spot checks; the full corpus runs in the
 # acceptance suite)
@@ -234,6 +243,15 @@ def test_driver_matches_stepwise_trace():
     out = eval_term(t)
     assert out.steps == len(tr) - 1
     assert alpha_eq(out.term, tr[-1])
+
+
+def test_driver_stops_on_the_trace_when_fuel_runs_out():
+    for src in ("hdg paperfolds", "second (box toggle)", "addN (mulN 2 3) 4"):
+        tr = trace(_t(src), 10**5)
+        for k in range(len(tr) - 1):
+            out = eval_term(_t(src), fuel=k)
+            assert isinstance(out, FuelExhausted) and out.steps == k, (src, k)
+            assert alpha_eq(out.term, tr[k]), (src, k)
 
 
 @pytest.mark.parametrize("name", [row[0] for row in corpus.FIX_LAW])

@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from glam.errors import OpenBox, TypingError, UnboundTypeVar, UnguardedMu
+from glam.frontend import pretty_type
 from glam.syntax import (
     NAT,
     UNIT,
@@ -175,12 +176,12 @@ def _reference_wf_type(tyvars, a):
         case Mu(x, b):
             _reference_wf_type(tyvars | {x}, b)
             if not _reference_guarded_in(x, b):
-                raise UnguardedMu(f"recursion variable {x!r} is not guarded in {b!r}")
+                raise UnguardedMu(f"recursion variable {x!r} is not guarded in {pretty_type(b)}")
         case Later(b):
             _reference_wf_type(tyvars, b)
         case Box(b):
             if _reference_free_type_vars(b):
-                raise OpenBox(f"# applied to an open type: {b!r}")
+                raise OpenBox(f"# applied to an open type: {pretty_type(b)}")
             _reference_wf_type(frozenset(), b)
         case _:
             raise TypeError(f"not a type: {a!r}")

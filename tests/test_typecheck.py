@@ -241,7 +241,7 @@ def test_ill_formed_type_table():
         assert e.value.code == code, name
 
 
-_UNGUARDED = "recursion variable 'a' is not guarded in <Type a>"
+_UNGUARDED = "recursion variable 'a' is not guarded in a"
 
 
 @pytest.mark.parametrize(
@@ -265,11 +265,13 @@ _UNGUARDED = "recursion variable 'a' is not guarded in <Type a>"
         ("inl[Nat] 0", TypeMismatch, "inl must produce a sum type", (1, 1)),
         ("inr[Unit] ()", TypeMismatch, "inr must produce a sum type", (1, 1)),
         ("fold[Nat * Nat] (0, 0)", TypeMismatch, "fold must produce a mu-type", (1, 1)),
-        # the shared numeral node carries no location
-        ("abort[Nat] 0", TypeMismatch, "has type Nat but Void expected", None),
+        # the shared numeral node carries no location: the error takes
+        # the enclosing node's
+        ("abort[Nat] 0", TypeMismatch, "has type Nat but Void expected", (1, 1)),
         # the target's former is checked before the annotation is well-formed
         ("inl[mu a. a] 0", TypeMismatch, "inl must produce a sum type", (1, 1)),
-        ("fold[mu a. a] 0", UnguardedMu, _UNGUARDED, None),
+        ("fold[mu a. a] 0", UnguardedMu, _UNGUARDED, (1, 1)),
+        ("inl[Nat + b] 0", UnboundTypeVar, "unbound type variable 'b'", (1, 1)),
     ],
 )
 def test_eliminator_and_annotated_introduction_errors(src, cls, message, loc):
