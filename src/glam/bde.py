@@ -307,7 +307,7 @@ def _head_to_term(h) -> Term:
         return numeral(h.n)
     if isinstance(h, HeadVar):
         return Var(h.name)
-    return Prim(h.op, (_head_to_term(h.left), _head_to_term(h.right)))
+    return Prim(h.op, _head_to_term(h.left), _head_to_term(h.right))
 
 
 def _tail_to_term(t, d: BdeDef, compiled: dict) -> Term:
@@ -425,7 +425,7 @@ def _eval_head(h, heads):
         return h.n
     if isinstance(h, HeadVar):
         return heads[int(h.name[1:]) - 1]
-    return PRIMITIVES[h.op].op(_eval_head(h.left, heads), _eval_head(h.right, heads))
+    return PRIMITIVES[h.op](_eval_head(h.left, heads), _eval_head(h.right, heads))
 
 
 # The oracle names every stream it meets by a structural key, so that

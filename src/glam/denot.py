@@ -533,7 +533,7 @@ def _fixpoint(j, f):
 
 
 def _prim(t, i, env):
-    return PRIMITIVES[t.name].op(*[_den(a, i, env) for a in t.args])
+    return PRIMITIVES[t.name](_den(t.left, i, env), _den(t.right, i, env))
 
 
 _RULES = {

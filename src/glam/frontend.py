@@ -45,9 +45,9 @@ Comments run from "--" to end of line.  Numerals abbreviate
 succ^n zero.  The dotted binder forms and lambda/case bodies extend as
 far to the right as possible.  "prev. t" closes t with the identity
 substitution on its free variables; "prev t" carries the empty
-substitution.  Unsaturated uses of the primitives addN/mulN are
-eta-expanded while parsing, so the tree only ever holds saturated
-Prim nodes.
+substitution.  The primitives addN and mulN are binary: an unsaturated
+use is eta-expanded while parsing, so every Prim node in the tree holds
+both operands.
 
 Parsing a program resolves identifiers immediately: each definition is
 inlined (as an ascribed closed term) into the ones after it.  This
@@ -208,6 +208,7 @@ class Def(NamedTuple):
     name: str
     ty: Type
     body: Term  # closed: earlier definitions are already inlined
+    loc: Optional[tuple] = None  # (line, col) of the name
 
     def resolved(self) -> Term:
         return Ascribe(self.body, self.ty)
@@ -389,11 +390,9 @@ class _Parser(TokenCursor):
         while self.kinds[self.i] in _TERM_START:
             units.append(self.p_prefix())
         if isinstance(head, _PrimRef):
-            arity = PRIMITIVES[head.name].arity
-            if len(units) > arity:
+            if len(units) > 2:
                 raise ParseError(
-                    f"primitive {head.name} takes {arity} arguments, given {len(units)}",
-                    head.loc,
+                    f"primitive {head.name} takes 2 arguments, given {len(units)}", head.loc
                 )
             args = [self._force(u) for u in units]
             return self._saturate(head, args)
@@ -403,17 +402,15 @@ class _Parser(TokenCursor):
         return out
 
     def _saturate(self, ref: _PrimRef, args) -> Term:
-        arity = PRIMITIVES[ref.name].arity
-        missing = arity - len(args)
-        if missing == 0:
-            return Prim(ref.name, tuple(args), loc=ref.loc)
-        avoid = set().union(*(free_vars(a) for a in args)) if args else set()
+        if len(args) == 2:
+            return Prim(ref.name, *args, loc=ref.loc)
+        avoid = set().union(*(free_vars(a) for a in args))
         params = []
-        for _ in range(missing):
+        for _ in range(2 - len(args)):
             p = fresh_name("a", avoid)
             avoid.add(p)
             params.append(p)
-        body = Prim(ref.name, tuple(args) + tuple(Var(p) for p in params), loc=ref.loc)
+        body = Prim(ref.name, *args, *(Var(p) for p in params), loc=ref.loc)
         for p in reversed(params):
             body = Lam(p, NAT, body, loc=ref.loc)
         return body
@@ -537,7 +534,7 @@ class _Parser(TokenCursor):
             self.scope = frozenset()
             body = self.p_term()
             self.expect(";")
-            d = Def(name, ty, body)
+            d = Def(name, ty, body, name_tok[2:])
             defs.append(d)
             seen.add(name)
             self.env[name] = d.resolved()
@@ -632,11 +629,10 @@ def _pp(t: Term, want: int) -> str:
             return _parens(f"{_pp(f, 2)} {_pp(a, 3)}", 2, want)
         case LaterApp(f, a):
             return _parens(f"{_pp(f, 1)} <*> {_pp(a, 2)}", 1, want)
-        case Prim(name, args):
+        case Prim(name, a, b):
             # level 1, not 2: a Prim heading an application must be
             # parenthesized or the saturation would absorb the arguments
-            inner = " ".join([name] + [_pp(a, 3) for a in args])
-            return _parens(inner, 1, want)
+            return _parens(f"{name} {_pp(a, 3)} {_pp(b, 3)}", 1, want)
         case _:
             raise TypeError(f"not a term: {t!r}")
 

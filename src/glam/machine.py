@@ -35,13 +35,14 @@ unbox-of-box, boxp with a non-empty substitution, boxp-of-in, and the
 delta rules for saturated primitives on numerals.
 
 Evaluation contexts: hole, succ E, fst E, snd E, case E, E t,
-unfold E, prev E, E <*> t, v <*> E, unbox E, boxp E, and primitive
-arguments left to right.
+unfold E, prev E, E <*> t, v <*> E, unbox E, boxp E, prim E t and
+prim v E.
 """
 
 from __future__ import annotations
 
 from .errors import FuelExhaustedError, StuckError, nesting_guard
+from .frontend import pretty
 from .syntax import (
     PRIMITIVES,
     SHAPES,
@@ -183,13 +184,10 @@ def _c_boxsum(t):
 
 
 def _c_prim(t):
-    vals = []
-    for a in t.args:
-        n = numeral_value(a)
-        if n is None:
-            return None
-        vals.append(n)
-    return numeral(PRIMITIVES[t.name].op(*vals))
+    m, n = t.left._nv, t.right._nv
+    if m is None or n is None:
+        return None
+    return numeral(PRIMITIVES[t.name](m, n))
 
 
 _CONTRACT = {
@@ -222,8 +220,7 @@ def _box_sum_ann(ann):
 # Context search (primary step implementation)
 
 # The evaluation contexts: the fields each context class evaluates, in
-# order.  The hole is in the first of them that is not a value; a
-# primitive's arguments are its ("args", i) fields, left to right.
+# order.  The hole is in the first of them that is not a value.
 _HOLES = {
     Succ: ("body",),
     Proj1: ("body",),
@@ -235,16 +232,12 @@ _HOLES = {
     Case: ("scrut",),
     App: ("fun",),
     LaterApp: ("fun", "arg"),
+    Prim: ("left", "right"),
 }
 
 
 def _hole(t: Term):
     """The field of t holding the evaluation context's hole, or None."""
-    if t.__class__ is Prim:
-        for i, a in enumerate(t.args):
-            if not is_value(a):
-                return ("args", i)
-        return None
     for fld in _HOLES.get(t.__class__, ()):
         if not is_value(getattr(t, fld)):
             return fld
@@ -272,7 +265,7 @@ def _walk(t: Term):
         fld = _hole(cur)
         if fld is not None:
             frames.append((cur, fld))
-            cur = cur.args[fld[1]] if fld.__class__ is tuple else getattr(cur, fld)
+            cur = getattr(cur, fld)
         elif frames and is_value(cur):
             parent, fld = frames.pop()
             cur = _set_child(parent, fld, cur)
@@ -293,10 +286,7 @@ def step(t: Term):
 
 def _set_child(parent: Term, fld, child: Term) -> Term:
     """A copy of the context node parent, with no location, holding
-    child at fld: a field name, or ("args", i) for a primitive argument."""
-    if fld.__class__ is tuple:
-        fld, i = fld
-        child = parent.args[:i] + (child,) + parent.args[i + 1 :]
+    child at the field fld."""
     out = []
     for name, _ in SHAPES[parent.__class__]:
         out.append(child if name == fld else getattr(parent, name))
@@ -356,15 +346,13 @@ def step_rd(t: Term):
         case BoxSum((), b):
             r = step_rd(b)
             return None if r is None else BoxSum((), r)
-        case Prim(name, args):
-            for i, a in enumerate(args):
-                if not is_value(a):
-                    r = step_rd(a)
-                    if r is None:
-                        return None
-                    out = list(args)
-                    out[i] = r
-                    return Prim(name, tuple(out))
+        case Prim(name, a, b):
+            if not is_value(a):
+                r = step_rd(a)
+                return None if r is None else Prim(name, r, b)
+            if not is_value(b):
+                r = step_rd(b)
+                return None if r is None else Prim(name, a, r)
             return None
         case _:
             return None
@@ -425,7 +413,7 @@ _UNIT = _Con(UnitVal, None)
 # Frame kinds besides the eliminators' term classes.
 _UPDATE = object()  # (_UPDATE, thunk, None): store the value
 _LATER_ARG = object()  # (_LATER_ARG, fun value, None): after t in f <*> t
-_PRIM_ARG = object()  # (_PRIM_ARG, prim term, (env, values so far))
+_PRIM_ARG = object()  # (_PRIM_ARG, left value, name): after u in prim t u
 
 # The value forms each eliminator frame takes apart.
 _EXPECT = {
@@ -549,8 +537,8 @@ def _need(t: Term, env: dict, fuel: int, memo: dict, stack=None):
             t = t.fun
             continue
         elif c is Prim:
-            stack.append((_PRIM_ARG, t, (env, [])))
-            t = t.args[0]
+            stack.append((Prim, t, env))
+            t = t.left
             continue
         elif c is Ascribe:
             t = t.body
@@ -577,15 +565,13 @@ def _need(t: Term, env: dict, fuel: int, memo: dict, stack=None):
                 stack.append((_LATER_ARG, v, None))
                 t, env = x, y
                 break
+            if k is Prim:  # the left operand is a value; evaluate the right
+                stack.append((_PRIM_ARG, v, x.name))
+                t, env = x.right, y
+                break
             if k is _PRIM_ARG:
-                penv, vals = y
-                vals.append(v)
-                if len(vals) < len(x.args):
-                    stack.append((k, x, y))
-                    t, env = x.args[len(vals)], penv
-                    break
-                if any(a.__class__ is not int for a in vals):
-                    _stuck(f"{x.name} of a non-numeral")
+                if x.__class__ is not int or v.__class__ is not int:
+                    _stuck(f"{y} of a non-numeral")
             elif k is _LATER_ARG:
                 if not (_is_next(x) and _is_next(v)):
                     _stuck("<*> of a non-next value")
@@ -597,7 +583,7 @@ def _need(t: Term, env: dict, fuel: int, memo: dict, stack=None):
                 raise FuelExhaustedError(f"no value after {steps} steps")
             steps += 1
             if k is _PRIM_ARG:
-                v = PRIMITIVES[x.name].op(*vals)
+                v = PRIMITIVES[y](x, v)
                 continue
             if k is _LATER_ARG:
                 v = _Con(Next, _shared(_APPLY_FA, {"f": x.a, "a": v.a}, memo))
@@ -665,8 +651,6 @@ def trace(t: Term, max_steps: int = DEFAULT_FUEL, pre_erase: bool = True):
 def _force_value(t: Term, fuel: int, pre_erase: bool = True) -> Term:
     out = eval_term(t, fuel, pre_erase)
     if isinstance(out, Stuck):
-        from .frontend import pretty
-
         raise StuckError(f"stuck term: {pretty(out.term)}")
     if isinstance(out, FuelExhausted):
         raise FuelExhaustedError(f"no value after {out.steps} steps")
@@ -679,8 +663,6 @@ def observe_nat(t: Term, fuel: int = DEFAULT_FUEL, pre_erase: bool = True) -> in
     v = _force_value(t, fuel, pre_erase)
     n = numeral_value(v)
     if n is None:
-        from .frontend import pretty
-
         raise StuckError(f"value is not a numeral: {pretty(v)}")
     return n
 

@@ -14,8 +14,10 @@ the body.
 
 Each class statement declares its class's fields once, in order, with
 what each holds: ``class Lam(Term, var=BINDER, annot=TYPE, body=TERM)``.
-From that line the class gets its constructor and ``__match_args__``,
-and ``SHAPES`` (term classes) or ``TYPE_SHAPES`` (type classes) gets
+A field holds one of six kinds: a subterm, a binder, an explicit
+substitution, a type, a variable occurrence, or other data.  From that
+line the class gets its constructor and ``__match_args__``, and
+``SHAPES`` (term classes) or ``TYPE_SHAPES`` (type classes) gets
 its entry.  A term's constructor also stores two facts about the node
 that every runner reads: ``_fv``, its free variables, built from its
 subterms' by the kinds of its fields, and ``_nv``, its value if it is a
@@ -29,17 +31,16 @@ and the type predicates and metrics of glam.typecheck loop over
 from __future__ import annotations
 
 import operator
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 from .errors import nesting_guard
 
 # ---------------------------------------------------------------------------
-# Field kinds, and the classes they declare
+# The six field kinds, and the classes they declare
 
 TERM = "term"  # a subterm
 BINDER = "binder"  # a variable name bound in the next subterm
 SUBST = "subst"  # an explicit substitution: its names alone scope the next subterm
-TERMS = "terms"  # a tuple of subterms
 TYPE = "type"  # a term's type annotation (None when absent), or a type's subtype
 VAR = "var"  # a variable occurrence: the name is free in the node
 DATA = "data"  # other data: a primitive or type variable name
@@ -54,7 +55,7 @@ TYPE_SHAPES: dict = {}
 
 # how a constructor stores a field of each kind; a field of any other
 # kind is stored as given
-_STORE = {SUBST: "tuple(tuple(p) for p in {})", TERMS: "tuple({})"}
+_STORE = {SUBST: "tuple(tuple(p) for p in {})"}
 
 _EMPTY = frozenset()
 # the generated code's locals start with "_", so that no field name hides them
@@ -81,8 +82,6 @@ def _term_facts(shape: dict, numeral) -> list:
         elif kind is SUBST:
             lines += [f"for _, _u in self.{f}:", "    _p = _u._fv", "    " + _JOIN]
             scope = SUBST
-        elif kind is TERMS:
-            lines += [f"for _u in self.{f}:", "    _p = _u._fv", "    " + _JOIN]
         elif kind is VAR:
             lines += [f"_p = frozenset(({f},))", _JOIN]
     lines.append("_set(self, '_fv', _fv)")
@@ -201,25 +200,21 @@ class Unbox(Term, body=TERM): ...
 class BoxSum(Term, subst=SUBST, body=TERM): ...  # boxp sigma. t
 
 
-class Prim(Term, name=DATA, args=TERMS):
-    """A saturated application of a built-in function symbol.
+class Prim(Term, name=DATA, left=TERM, right=TERM):
+    """A saturated application of a binary built-in function symbol.
 
-    The frontend eta-expands unsaturated occurrences, so the machine
-    only ever meets Prim nodes carrying exactly the declared arity.
+    The frontend eta-expands unsaturated occurrences, so every Prim
+    node carries both operands.
     """
 
 
 class Ascribe(Term, body=TERM, annot=TYPE): ...
 
 
-class Primitive(NamedTuple):
-    arity: int
-    op: Callable  # its meaning on Python ints
-
-
-# The built-in function symbols, all at Nat.  The machine's delta rule,
-# the denotation and the BDE oracle all compute with ``op``.
-PRIMITIVES = {"addN": Primitive(2, operator.add), "mulN": Primitive(2, operator.mul)}
+# The built-in function symbols, all binary at Nat, each with its
+# meaning on Python ints.  The machine's delta rule, the denotation and
+# the BDE oracle all compute with it.
+PRIMITIVES = {"addN": operator.add, "mulN": operator.mul}
 
 
 def _shape(t) -> tuple:
@@ -329,8 +324,6 @@ def _subst(t: Term, m: dict) -> Term:
         elif kind is SUBST:
             v = tuple((x, _subst(u, m)) for x, u in v)
             hidden = True
-        elif kind is TERMS:
-            v = tuple(_subst(a, m) for a in v)
         out.append(v)
     return t.__class__(*out, loc=t.loc)
 
@@ -382,8 +375,6 @@ def _erase(t: Term) -> Term:
             v2 = None
         elif kind is SUBST:
             v2 = tuple((x, _erase(u)) for x, u in v)
-        elif kind is TERMS:
-            v2 = tuple(_erase(a) for a in v)
         else:
             v2 = v
         # terms compare by identity, so equal tuples hold the same nodes
@@ -440,12 +431,6 @@ def _aeq(t, u, envt, envu, ctr) -> bool:
                     return False
             # the listed variables are the only bindings visible in the body
             scope = ([x for x, _ in v], [y for y, _ in w], {}, {})
-        elif kind is TERMS:
-            if len(v) != len(w):
-                return False
-            for v1, w1 in zip(v, w):
-                if not _aeq(v1, w1, envt, envu, ctr):
-                    return False
         elif kind is TYPE:
             if not _annot_eq(v, w):
                 return False

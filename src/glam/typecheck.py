@@ -401,12 +401,12 @@ def _elab1(ctx, t, want):
             if not isinstance(tb, Sum):
                 raise TypeMismatch("boxp body must have a sum type", t.loc)
             return BoxSum(sig2, b2, loc=t.loc), Sum(Box(tb.left), Box(tb.right))
-        case Prim(name, args):
-            prim = PRIMITIVES.get(name)
-            if prim is None or prim.arity != len(args):
+        case Prim(name, a, b):
+            if name not in PRIMITIVES:
                 raise TypingError(f"bad primitive application {name}", t.loc)
-            args2 = tuple(_elab(ctx, a, NAT)[0] for a in args)
-            return _done(Prim(name, args2, loc=t.loc), NAT, want, t.loc)
+            a2, _ = _elab(ctx, a, NAT)
+            b2, _ = _elab(ctx, b, NAT)
+            return _done(Prim(name, a2, b2, loc=t.loc), NAT, want, t.loc)
         case Ascribe(b, a0):
             wf_type((), a0)
             b2, _ = _elab(ctx, b, a0)
@@ -552,11 +552,10 @@ def _syn_later_app(ctx, t):
 
 
 def _syn_prim(ctx, t):
-    prim = PRIMITIVES.get(t.name)
-    if prim is None or prim.arity != len(t.args):
+    if t.name not in PRIMITIVES:
         raise _Fallback
-    for a in t.args:
-        _same(_syn(ctx, a), NAT)
+    _same(_syn(ctx, t.left), NAT)
+    _same(_syn(ctx, t.right), NAT)
     return NAT
 
 
@@ -615,7 +614,7 @@ def check_program(program) -> None:
     """Check every definition of a program against its declared type.
 
     Raises the first failing definition's error, annotated with the
-    definition name.
+    definition name, and located at the name if it has no location.
     """
     for d in program:
         try:
@@ -624,4 +623,6 @@ def check_program(program) -> None:
         except TypingError as e:
             e.message = f"in definition {d.name!r}: {e.message}"
             e.args = (e.message,)
+            if e.loc is None:
+                e.loc = d.loc
             raise

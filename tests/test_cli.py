@@ -108,6 +108,36 @@ def test_non_ascii_digit_is_one_line_parse_error(capsys, tmp_path):
     assert err == "ParseError: unexpected character '²' (at 1:15)\n"
 
 
+@pytest.mark.parametrize(
+    "src, err",
+    [
+        (
+            "def d : Nat + b = inl 0;",
+            "UnboundTypeVar: in definition 'd': unbound type variable 'b' (at 1:5)",
+        ),
+        (
+            "def d : Void = 0;",
+            "TypeMismatch: in definition 'd': has type Nat but Void expected (at 1:5)",
+        ),
+        (
+            "def d : mu a. a = fold 0;",
+            "UnguardedMu: in definition 'd': recursion variable 'a' is not guarded in a (at 1:5)",
+        ),
+        # an error with a location of its own keeps it
+        (
+            "def d : Nat = fst 0;",
+            "TypeMismatch: in definition 'd': fst applied to a non-product (at 1:15)",
+        ),
+    ],
+    ids=["unbound-type-var", "mismatch", "unguarded-mu", "own-location"],
+)
+def test_definition_errors_point_at_the_definition_name(capsys, tmp_path, src, err):
+    path = tmp_path / "d.gl"
+    path.write_text(src)
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == err + "\n"
+
+
 def test_take_toggle(capsys):
     assert main(["take", str(PRELUDE_PATH), "toggle", "4"]) == 0
     assert capsys.readouterr().out.strip() == "1 0 1 0"

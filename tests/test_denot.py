@@ -31,7 +31,6 @@ from glam.syntax import (
     STREAM_G,
     SUBST,
     TERM,
-    TERMS,
     App,
     Arrow,
     Box,
@@ -491,6 +490,20 @@ def test_fixpoint_calls_f_at_each_stage_from_one_up():
     assert stages == [1, 2, 3, 4, 5]
 
 
+def test_later_app_calls_the_function_one_stage_down():
+    stages = []
+
+    def log(k, a):
+        stages.append(k)
+        return a
+
+    # the ceiling is above the stage, so no clamping hides the call's stage
+    env = {"f": SLater(SFun(log, 10)), "a": SLater(7)}
+    v = den_term({}, LaterApp(Var("f"), Var("a")), Later(NAT), 4, env=env, elaborated=True)
+    assert v.val == 7
+    assert stages == [3]
+
+
 def _marked_nodes(t):
     """The distinct nodes of t that carry fix_term's mark."""
     out, seen, todo = [], set(), [t]
@@ -505,8 +518,6 @@ def _marked_nodes(t):
             v = getattr(u, name)
             if kind == TERM:
                 todo.append(v)
-            elif kind == TERMS:
-                todo.extend(v)
             elif kind == SUBST:
                 todo.extend(w for _, w in v)
     return out

@@ -250,8 +250,9 @@ def test_primitive_eta_expansion():
 
 
 def test_primitive_arity_error():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as e:
         parse_term("addN 1 2 3")
+    assert e.value.render() == "ParseError: primitive addN takes 2 arguments, given 3 (at 1:1)"
 
 
 def test_fix_macro_type():

@@ -17,7 +17,6 @@ from glam.syntax import (
     SHAPES,
     SUBST,
     TERM,
-    TERMS,
     UNIT,
     VOID,
     Abort,
@@ -109,9 +108,6 @@ def _positions(t, path=(), names=(), parent=None):
             for i, (x, u) in enumerate(v):
                 yield from _positions(u, path + ((field, i),), names, cls)
             inner = names + tuple(x for x, _ in v)
-        elif kind is TERMS:
-            for i, a in enumerate(v):
-                yield from _positions(a, path + ((field, i),), names, cls)
 
 
 def _replace_at(t, path, f):
@@ -122,10 +118,8 @@ def _replace_at(t, path, f):
     v = getattr(t, field)
     if i is None:
         new = _replace_at(v, rest, f)
-    elif isinstance(v[i], tuple):
+    else:  # the term of an explicit substitution's entry i
         new = v[:i] + ((v[i][0], _replace_at(v[i][1], rest, f)),) + v[i + 1:]
-    else:
-        new = v[:i] + (_replace_at(v[i], rest, f),) + v[i + 1:]
     return _replace(t, **{field: new})
 
 

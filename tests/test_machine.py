@@ -2,6 +2,7 @@ import pytest
 
 import corpus
 from glam.errors import FuelExhaustedError, StuckError
+from glam.frontend import parse_term, pretty
 from glam.machine import (
     FuelExhausted,
     Stuck,
@@ -41,7 +42,7 @@ from glam.syntax import (
 
 
 def test_delta_rule_returns_the_shared_numeral():
-    assert step(Prim("addN", (numeral(3), numeral(4)))) is numeral(7)
+    assert step(Prim("addN", numeral(3), numeral(4))) is numeral(7)
 
 
 def _t(src):
@@ -91,7 +92,7 @@ def test_step_boxsum_annotation_mapped():
 
 
 def test_step_delta():
-    t = Prim("addN", (numeral(1), numeral(2)))
+    t = Prim("addN", numeral(1), numeral(2))
     assert alpha_eq(step(t), numeral(3))
 
 
@@ -149,8 +150,28 @@ def test_eval_stuck_on_ill_typed():
 
 def test_observe_nat_examples():
     assert observe_nat(numeral(1)) == 1
-    assert observe_nat(Prim("addN", (numeral(1), numeral(2)))) == 3
+    assert observe_nat(Prim("addN", numeral(1), numeral(2))) == 3
     assert observe_nat(_t("hdg toggle")) == 1
+
+
+# A primitive evaluates its operands left to right, and its delta rule
+# needs two numerals: (source, reference steps, stuck term).
+_BAD_PRIMS = [
+    ("addN (\\x:Nat. x) 1", 0, "addN (\\x. x) 1"),
+    ("addN 1 (\\x:Nat. x)", 0, "addN 1 (\\x. x)"),
+    ("addN (fst ((), 1)) 1", 1, "addN () 1"),
+]
+
+
+@pytest.mark.parametrize("src, steps, stuck", _BAD_PRIMS)
+def test_primitive_of_a_non_numeral_is_stuck(src, steps, stuck):
+    out = eval_term(parse_term(src))
+    assert isinstance(out, Stuck) and out.steps == steps
+    assert pretty(out.term) == stuck
+    assert step(out.term) is None and step_rd(out.term) is None
+    with pytest.raises(StuckError) as e:
+        take_stream(parse_term(f"fold ({src}, next 0)"), 1)
+    assert e.value.render() == "Stuck: stuck term: addN of a non-numeral"
 
 
 def test_observe_nat_fuel_error():

@@ -16,7 +16,6 @@ from glam.syntax import (
     STREAM_G,
     SUBST,
     TERM,
-    TERMS,
     TYPE,
     TYPE_SHAPES,
     UNIT,
@@ -148,8 +147,6 @@ def _reference_free_vars(t, memo) -> frozenset:
             elif kind is SUBST:
                 parts.extend(_reference_free_vars(u, memo) for _, u in v)
                 scope = SUBST
-            elif kind is TERMS:
-                parts.extend(_reference_free_vars(a, memo) for a in v)
         fv = frozenset().union(*parts)
     memo[id(t)] = fv
     return fv
@@ -182,8 +179,6 @@ def _check_facts(terms, seen=None, memo=None) -> int:
             v = getattr(u, name)
             if kind is TERM:
                 todo.append(v)
-            elif kind is TERMS:
-                todo.extend(v)
             elif kind is SUBST:
                 todo.extend(w for _, w in v)
     return n
@@ -298,11 +293,11 @@ def test_every_type_class_has_a_shape():
 
 def _sample(c):
     """The arguments of an instance of c, each made for its field's kind,
-    with an explicit substitution and a tuple of terms given as lists."""
+    with an explicit substitution given as lists."""
     if c in TYPE_SHAPES:
         return [NAT if f in TYPE_SHAPES[c] else "a" for f in c.__match_args__]
     made = {
-        TERM: Var("y"), BINDER: "x", SUBST: [["x", Var("z")]], TERMS: [Var("w")], TYPE: NAT,
+        TERM: Var("y"), BINDER: "x", SUBST: [["x", Var("z")]], TYPE: NAT,
         VAR: "v", DATA: "addN",
     }
     return [made[kind] for _, kind in SHAPES[c]]
@@ -411,7 +406,7 @@ def _extend(s):
         st.builds(lambda sg, b: BoxI(sg, b), sig, s),
         st.builds(Unbox, s),
         st.builds(lambda sg, b: BoxSum(sg, b), sig, s),
-        st.builds(lambda a, b: Prim("addN", (a, b)), s, s),
+        st.builds(lambda a, b: Prim("addN", a, b), s, s),
         st.builds(lambda b: Ascribe(b, NAT), s),
     )
 
@@ -451,8 +446,8 @@ def _freshen(t, n=0):
             return Pair(_freshen(l, n), _freshen(r, n + 7))
         case App(f, a) | LaterApp(f, a):
             return type(t)(_freshen(f, n), _freshen(a, n + 7))
-        case Prim(name, args):
-            return Prim(name, tuple(_freshen(a, n) for a in args))
+        case Prim(name, a, b):
+            return Prim(name, _freshen(a, n), _freshen(b, n))
         case _:
             return t
 
@@ -589,10 +584,12 @@ def _ref_aeq(t, u, envt, envu, ctr):
             return _ref_aeq_under(
                 [x for x, _ in sig], [x for x, _ in usig], b, u.body, {}, {}, ctr
             )
-        case Prim(name, args):
-            if name != u.name or len(args) != len(u.args):
-                return False
-            return all(_ref_aeq(a, b, envt, envu, ctr) for a, b in zip(args, u.args))
+        case Prim(name, a, b):
+            return (
+                name == u.name
+                and _ref_aeq(a, u.left, envt, envu, ctr)
+                and _ref_aeq(b, u.right, envt, envu, ctr)
+            )
         case _:
             raise TypeError(f"not a term: {t!r}")
 
@@ -622,12 +619,12 @@ def _ref_aeq_under(xs, ys, b1, b2, envt, envu, ctr):
 def test_alpha_eq_matches_reference(t, u):
     # equal pairs through _freshen, unrelated pairs, and near misses that
     # differ from an alpha-variant only where x is free, in annotations,
-    # in a primitive's name or in its number of arguments
+    # in a primitive's name or in the order of its operands
     f = _freshen(t)
     pairs = [(t, f), (f, t), (t, u), (u, t), (t, subst(f, {"x": u})), (t, erase(f))]
     pairs += [(Lam("x", None, t), Lam("y", None, subst(f, {"x": Var("y")})))]
-    prims = [("addN", (f, u)), ("mulN", (f, u)), ("addN", (f,))]
-    pairs += [(Prim("addN", (t, u)), Prim(p, a)) for p, a in prims]
+    prims = [("addN", (f, u)), ("mulN", (f, u)), ("addN", (u, f))]
+    pairs += [(Prim("addN", t, u), Prim(p, *a)) for p, a in prims]
     for a, b in pairs:
         assert alpha_eq(a, b) == _reference_alpha_eq(a, b)
     assert alpha_eq(t, f)
