@@ -34,9 +34,19 @@ def _fuel(given: int | None) -> int:
     return int(env)
 
 
+def _read(path: str) -> str:
+    """The text of a program or .bde file, read as UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise _InputError(str(e)) from None
+    except UnicodeDecodeError as e:
+        raise _InputError(f"{path!r} is not UTF-8: {e.reason} at byte {e.start}") from None
+
+
 def _load(path: str) -> Program:
     """Parse a program file over the prelude and type-check it."""
-    program = parse_program(Path(path).read_text(), base=load_prelude())
+    program = parse_program(_read(path), base=load_prelude())
     typecheck.check_program(program)
     return program
 
@@ -121,7 +131,7 @@ def cmd_denote(args) -> int:
 
 
 def cmd_bde_compile(args) -> int:
-    defs = bdemod.parse_bde(Path(args.file).read_text())
+    defs = bdemod.parse_bde(_read(args.file))
     out = bdemod.compile_bde(defs, args.name)
     print(f"guarded : {pretty_type(out.guarded_type)}")
     print(f"  {pretty(out.guarded)}")
@@ -145,7 +155,7 @@ def _bde_arg(name: str):
 
 
 def cmd_bde_run(args) -> int:
-    defs = bdemod.parse_bde(Path(args.file).read_text())
+    defs = bdemod.parse_bde(_read(args.file))
     pairs = [_bde_arg(a) for a in args.args]
     n = _given(args.n, DEFAULT_N)
     # the oracle runs first: it refuses a wrong number of streams, which
@@ -195,11 +205,7 @@ def run_repl(infile, outfile, fuel: int | None = None) -> None:
             if line == ":q":
                 return
             if line.startswith(":load "):
-                path = line[len(":load "):].strip()
-                try:
-                    program = _load(path)
-                except OSError as e:
-                    raise _ReplError(str(e)) from None
+                program = _load(line[len(":load "):].strip())
                 env = program.env()
                 w(f"loaded {len(program)} definitions")
             elif line.startswith(":t "):
@@ -235,19 +241,19 @@ def run_repl(infile, outfile, fuel: int | None = None) -> None:
                     w(f"error: no value after {out.steps} steps")
         except GlamError as e:
             w(e.render())
-        except _ReplError as e:
+        except _InputError as e:
             w(f"error: {e}")
 
 
-class _ReplError(Exception):
-    """A malformed REPL command, or a file :load could not read."""
+class _InputError(Exception):
+    """A file that cannot be read as UTF-8, or a malformed REPL command."""
 
 
 def _count_and_term(usage: str, rest: str):
     """The count and the term source of :take and :den."""
     parts = rest.split(None, 1)
     if len(parts) != 2 or not parts[0].isdecimal():
-        raise _ReplError(f"usage: {usage}")
+        raise _InputError(f"usage: {usage}")
     return int(parts[0]), parts[1]
 
 
@@ -314,7 +320,7 @@ def main(argv=None) -> int:
     except GlamError as e:
         print(e.render(), file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
+    except _InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -34,9 +34,10 @@ prev with a non-empty substitution, prev-of-next, next<*>next,
 unbox-of-box, boxp with a non-empty substitution, boxp-of-in, and the
 delta rules for saturated primitives on numerals.
 
-Evaluation contexts: hole, succ E, fst E, snd E, case E, E t,
-unfold E, prev E, E <*> t, v <*> E, unbox E, boxp E, prim E t and
-prim v E.
+Evaluation contexts, one ``step_rd`` case per production (the hole is
+its contraction at the root): hole | succ E, fst E, snd E, unfold E,
+unbox E | prev E, boxp E (empty substitution) | case E | E t | E <*> t,
+v <*> E | prim E t, prim v E.
 """
 
 from __future__ import annotations
@@ -123,14 +124,11 @@ class Stuck(EvalOutcome):
 # Root reduction rules
 
 
-def _c_proj1(t):
+def _c_proj(t):
     b = t.body
-    return b.left if b.__class__ is Pair else None
-
-
-def _c_proj2(t):
-    b = t.body
-    return b.right if b.__class__ is Pair else None
+    if b.__class__ is not Pair:
+        return None
+    return b.left if t.__class__ is Proj1 else b.right
 
 
 def _c_case(t):
@@ -176,10 +174,8 @@ def _c_boxsum(t):
     if t.subst:
         return BoxSum((), subst(t.body, dict(t.subst)))
     b = t.body
-    if b.__class__ is In1:
-        return In1(_box_sum_ann(b.annot), BoxI((), b.body))
-    if b.__class__ is In2:
-        return In2(_box_sum_ann(b.annot), BoxI((), b.body))
+    if b.__class__ is In1 or b.__class__ is In2:
+        return b.__class__(_box_sum_ann(b.annot), BoxI((), b.body))
     return None
 
 
@@ -191,8 +187,8 @@ def _c_prim(t):
 
 
 _CONTRACT = {
-    Proj1: _c_proj1,
-    Proj2: _c_proj2,
+    Proj1: _c_proj,
+    Proj2: _c_proj,
     Case: _c_case,
     App: _c_app,
     Unfold: _c_unfold,
@@ -309,29 +305,20 @@ def step_rd(t: Term):
     if red is not None:
         return red
     match t:
-        case Succ(b):
-            if numeral_value(t) is not None:
-                return None
+        case Succ() if numeral_value(t) is not None:  # a numeral is a value
+            return None
+        case Succ(b) | Proj1(b) | Proj2(b) | Unfold(b) | Unbox(b):
             r = step_rd(b)
-            return None if r is None else Succ(r)
-        case Proj1(b):
+            return None if r is None else t.__class__(r)
+        case Prev((), b) | BoxSum((), b):
             r = step_rd(b)
-            return None if r is None else Proj1(r)
-        case Proj2(b):
-            r = step_rd(b)
-            return None if r is None else Proj2(r)
+            return None if r is None else t.__class__((), r)
         case Case(s, x1, a1, x2, a2):
             r = step_rd(s)
             return None if r is None else Case(r, x1, a1, x2, a2)
         case App(f, a):
             r = step_rd(f)
             return None if r is None else App(r, a)
-        case Unfold(b):
-            r = step_rd(b)
-            return None if r is None else Unfold(r)
-        case Prev((), b):
-            r = step_rd(b)
-            return None if r is None else Prev((), r)
         case LaterApp(f, a):
             if not is_value(f):
                 r = step_rd(f)
@@ -340,12 +327,6 @@ def step_rd(t: Term):
                 r = step_rd(a)
                 return None if r is None else LaterApp(f, r)
             return None
-        case Unbox(b):
-            r = step_rd(b)
-            return None if r is None else Unbox(r)
-        case BoxSum((), b):
-            r = step_rd(b)
-            return None if r is None else BoxSum((), r)
         case Prim(name, a, b):
             if not is_value(a):
                 r = step_rd(a)

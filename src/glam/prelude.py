@@ -22,11 +22,11 @@ def load_prelude() -> Program:
 
     The result is cached; definitions are immutable.
     """
-    return parse_program(PRELUDE_PATH.read_text())
+    return parse_program(PRELUDE_PATH.read_text(encoding="utf-8"))
 
 
 @lru_cache(maxsize=None)
 def load_extras() -> Program:
     """The documentation extras (Thue-Morse, Fibonacci word), linked
     against the prelude."""
-    return parse_program(EXTRAS_PATH.read_text(), base=load_prelude())
+    return parse_program(EXTRAS_PATH.read_text(encoding="utf-8"), base=load_prelude())

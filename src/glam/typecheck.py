@@ -6,18 +6,19 @@ expected type (or synthesizes one) and returns the term with every
 binder and constructor annotation filled in.  On an elaborated term
 every node synthesizes, which is what the subject-reduction and
 denotational machinery rely on; ``check`` is ``elaborate`` against a
-given type.  Two of its rules each serve a family: one types the unary
-eliminators (fst, snd, unfold, unbox) from the table ``_ELIM``, and one
-the annotated introductions (abort, inl, inr, fold) from ``_INTRO``.
+given type.
 
 ``infer`` types a term by synthesis alone (``_syn``), with the rules of
-``elaborate``'s synthesis mode, and builds no term nodes.  The type of
-a closed node is cached on it as ``_ty``, so consecutive reducts, which
-share almost all of their closed subtrees, are typed in time
-proportional to their new nodes.  Where synthesis alone does not settle
-the question (a missing annotation, an ascription, any mismatch or
-ill-formed annotation) ``_syn`` gives up and ``infer`` returns what
-``elaborate`` says, so every error comes from ``elaborate``.
+``elaborate``'s synthesis mode, and builds no term nodes.  Both passes
+type the unary eliminators (fst, snd, unfold, unbox) by one rule that
+reads ``_ELIM``, and the annotated introductions (abort, inl, inr,
+fold) by one that reads ``_INTRO``.  The type of a closed node is
+cached on it as ``_ty``, so consecutive reducts, which share almost all
+of their closed subtrees, are typed in time proportional to their new
+nodes.  Where synthesis alone does not settle the question (a missing
+annotation, an ascription, any mismatch or ill-formed annotation)
+``_syn`` gives up and ``infer`` returns what ``elaborate`` says, so
+every error comes from ``elaborate``.
 
 A typing context is an ordered mapping from term variables to closed
 well-formed types.
@@ -86,8 +87,8 @@ from .syntax import (
 )
 
 # ---------------------------------------------------------------------------
-# Predicates on types.  Cached on the node: _const (is_constant), _wf
-# (a closed type is well-formed) and _unfold (a mu-type's unfolding).
+# Predicates on types.  Cached on the node: _wf (a closed type is
+# well-formed) and _unfold (a mu-type's unfolding).
 
 
 def guarded_in(alpha: str, a: Type) -> bool:
@@ -105,19 +106,15 @@ def guarded_in(alpha: str, a: Type) -> bool:
 
 def is_constant(a: Type) -> bool:
     """True iff every |> in a lies beneath a #."""
-    try:
-        return a._const
-    except AttributeError:
-        pass
     cls = a.__class__
-    out = cls is not Later
-    if out and cls is not Box:
-        for f in _type_shape(a):
-            if not is_constant(getattr(a, f)):
-                out = False
-                break
-    object.__setattr__(a, "_const", out)
-    return out
+    if cls is Later:
+        return False
+    if cls is Box:
+        return True
+    for f in _type_shape(a):
+        if not is_constant(getattr(a, f)):
+            return False
+    return True
 
 
 def wf_type(tyvars, a: Type) -> None:
@@ -294,7 +291,7 @@ def _elab1(ctx, t, want):
         case Abort(a0, b) | In1(a0, b) | In2(a0, b) | Fold(a0, b):
             what, former, wrong, part = _INTRO[t.__class__]
             if a0 is not None and want is not None and not type_alpha_eq(a0, want):
-                        raise TypeMismatch(
+                raise TypeMismatch(
                     f"{what} annotated {pretty_type(a0)} but {pretty_type(want)} expected",
                     t.loc,
                 )
@@ -427,7 +424,7 @@ def _elab_subst(ctx, t, sig, body):
         seen.add(x)
         u2, tu = _elab(ctx, u, None)
         if not is_constant(tu):
-                raise NonConstantSubstType(
+            raise NonConstantSubstType(
                 f"substituted variable {x!r} has non-constant type {pretty_type(tu)}",
                 t.loc,
             )
@@ -478,7 +475,7 @@ def _same(a, b):
 
 
 def _is(ty, cls):
-    if ty.__class__ is not cls:
+    if not isinstance(ty, cls):
         raise _Fallback
     return ty
 
@@ -512,6 +509,18 @@ def _syn_case(ctx, t):
     return c1
 
 
+def _syn_elim(ctx, t):
+    former, _, part = _ELIM[t.__class__]
+    return part(_is(_syn(ctx, t.body), former))
+
+
+def _syn_intro(ctx, t):
+    _, former, _, part = _INTRO[t.__class__]
+    a = _is(_annot(t), former)
+    _same(_syn(ctx, t.body), part(a))
+    return a
+
+
 def _syn_lam(ctx, t):
     a = _annot(t)
     return Arrow(a, _syn({**ctx, t.var: a}, t.body))
@@ -521,27 +530,6 @@ def _syn_app(ctx, t):
     tf = _is(_syn(ctx, t.fun), Arrow)
     _same(_syn(ctx, t.arg), tf.dom)
     return tf.cod
-
-
-def _syn_inj(side):
-    def rule(ctx, t):
-        a = _is(_annot(t), Sum)
-        _same(_syn(ctx, t.body), getattr(a, side))
-        return a
-
-    return rule
-
-
-def _syn_fold(ctx, t):
-    a = _is(_annot(t), Mu)
-    _same(_syn(ctx, t.body), _mu_unfold(a))
-    return a
-
-
-def _syn_abort(ctx, t):
-    a = _annot(t)
-    _same(_syn(ctx, t.body), VOID)
-    return a
 
 
 def _syn_later_app(ctx, t):
@@ -586,21 +574,15 @@ _SYN = {
     Succ: _syn_succ,
     UnitVal: lambda ctx, t: UNIT,
     Pair: lambda ctx, t: Prod(_syn(ctx, t.left), _syn(ctx, t.right)),
-    Proj1: lambda ctx, t: _is(_syn(ctx, t.body), Prod).left,
-    Proj2: lambda ctx, t: _is(_syn(ctx, t.body), Prod).right,
-    Abort: _syn_abort,
-    In1: _syn_inj("left"),
-    In2: _syn_inj("right"),
+    **dict.fromkeys(_ELIM, _syn_elim),
+    **dict.fromkeys(_INTRO, _syn_intro),
     Case: _syn_case,
     Lam: _syn_lam,
     App: _syn_app,
-    Fold: _syn_fold,
-    Unfold: lambda ctx, t: _mu_unfold(_is(_syn(ctx, t.body), Mu)),
     Next: lambda ctx, t: Later(_syn(ctx, t.body)),
     LaterApp: _syn_later_app,
     Prev: lambda ctx, t: _is(_syn_body(ctx, t), Later).body,
     BoxI: lambda ctx, t: Box(_syn_body(ctx, t)),
-    Unbox: lambda ctx, t: _is(_syn(ctx, t.body), Box).body,
     BoxSum: _syn_box_sum,
     Prim: _syn_prim,
 }

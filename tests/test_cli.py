@@ -205,6 +205,45 @@ def test_usage_error_exit_two(capsys):
 
 def test_missing_file(capsys):
     assert main(["check", "no-such-file.gl"]) == 1
+    assert capsys.readouterr().err == (
+        "error: [Errno 2] No such file or directory: 'no-such-file.gl'\n"
+    )
+
+
+def _unreadable(tmp_path, kind):
+    """A directory, or a file whose bytes are not UTF-8."""
+    if kind == "directory":
+        return str(tmp_path)
+    path = tmp_path / "latin1.gl"
+    path.write_bytes(b"def x : Nat = 0; -- caf\xe9\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+@pytest.mark.parametrize(
+    "cmd",
+    [["check"], ["run", "x"], ["take", "x"], ["denote", "x"],
+     ["bde-compile", "f"], ["bde-run", "f", "zeros"]],
+    ids=lambda cmd: cmd[0],
+)
+def test_unreadable_file_is_one_error_line(capsys, tmp_path, cmd, kind):
+    path = _unreadable(tmp_path, kind)
+    assert main([cmd[0], path, *cmd[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(path) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_repl_load_of_an_unreadable_file_goes_on(tmp_path, kind):
+    path = _unreadable(tmp_path, kind)
+    out = io.StringIO()
+    run_repl(io.StringIO(f":load {path}\n:t fst (1, ())\n"), out)
+    lines = out.getvalue().split("\n")[1:]
+    assert lines[0].startswith("glam> error: ") and repr(path) in lines[0]
+    assert lines[1:] == ["glam> Nat", "glam> "]
 
 
 def test_missing_definition(capsys):

@@ -101,6 +101,12 @@ def test_step_none_on_values():
         assert step(v) is None and is_value(v)
 
 
+def test_step_rd_answers_a_numeral_at_once():
+    # a numeral is a value as it stands: step_rd must not descend its
+    # succ spine, which would overflow the stack on a long one
+    assert step_rd(numeral(10**5)) is None
+
+
 def test_box_with_substitution_is_a_value():
     v = BoxI((("x", numeral(1)),), Var("x"))
     assert is_value(v) and step(v) is None
