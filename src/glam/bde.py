@@ -24,8 +24,10 @@ File format (`.bde`)::
     bde zeros(0) { head = 0; tail = zeros; }
     bde plus(2)  { head = x1 + x2; tail = plus(z1, z2); }
 
-In heads, + and * are the primitive addN/mulN on naturals; in tails
-they stand for the earlier-defined stream equations named plus/times.
+A head is a glam term: numerals, the variables x1..xk and the
+primitives addN/mulN, which + and * stand for.  In tails + and * stand
+for the earlier-defined stream equations named plus/times.  One
+operator grammar parses both.
 """
 
 from __future__ import annotations
@@ -66,20 +68,9 @@ from .syntax import (
 
 # ---------------------------------------------------------------------------
 # Abstract syntax
-
-
-class HeadVar(NamedTuple):
-    name: str  # x<i>
-
-
-class HeadNum(NamedTuple):
-    n: int
-
-
-class HeadOp(NamedTuple):
-    op: str  # addN | mulN
-    left: object
-    right: object
+#
+# A head is a term built from Var, numeral and Prim; a tail is a tree
+# of TailVar and TailCall.
 
 
 class TailVar(NamedTuple):
@@ -95,13 +86,17 @@ class TailCall(NamedTuple):
 class BdeDef(NamedTuple):
     name: str
     arity: int
-    head: object
+    head: Term
     tail: object
 
 
 _VAR_RE = re.compile(r"^([xyz])([1-9][0-9]*)$")
 # anything of single-letter-plus-index shape is a (possibly bad) variable
 _VARISH_RE = re.compile(r"^([a-z])([0-9]+)$")
+
+# The infix operators: precedence, then the primitive each stands for
+# in a head and the equation it stands for in a tail.
+_OPS = {"+": (0, "addN", "plus"), "*": (1, "mulN", "times")}
 
 
 # ---------------------------------------------------------------------------
@@ -127,58 +122,37 @@ class _BdeParser(TokenCursor):
         self.expect("{")
         self.ident("head")
         self.expect("=")
-        head = self.p_hsum()
+        head = self.p_expr(True)
         self.expect(";")
         self.ident("tail")
         self.expect("=")
-        tail = self.p_tsum()
+        tail = self.p_expr(False)
         self.expect(";")
         self.expect("}")
         return BdeDef(name, arity, head, tail)
 
-    # heads: + / * are primitive arithmetic
-
-    def p_hsum(self):
-        left = self.p_hprod()
-        while self.at("+"):
+    def p_expr(self, head: bool, prec: int = 0):
+        """Atoms joined by the operators of precedence prec and above,
+        to the left: a head's operators build a Prim, a tail's a
+        TailCall."""
+        left = self.p_hatom() if head else self.p_tatom()
+        while (op := _OPS.get(self.kinds[self.i])) and op[0] >= prec:
             self.i += 1
-            left = HeadOp("addN", left, self.p_hprod())
-        return left
-
-    def p_hprod(self):
-        left = self.p_hatom()
-        while self.at("*"):
-            self.i += 1
-            left = HeadOp("mulN", left, self.p_hatom())
+            right = self.p_expr(head, op[0] + 1)
+            left = Prim(op[1], left, right) if head else TailCall(op[2], (left, right))
         return left
 
     def p_hatom(self):
         kind, value, line, col = self.advance()
         if kind == "num":
-            return HeadNum(int(value))
+            return numeral(int(value))
         if kind == "ident":
-            return HeadVar(value)
+            return Var(value)
         if kind == "(":
-            out = self.p_hsum()
+            out = self.p_expr(True)
             self.expect(")")
             return out
         raise ParseError(f"expected a head term, found {value or kind!r}", (line, col))
-
-    # tails: + / * are the earlier stream equations plus / times
-
-    def p_tsum(self):
-        left = self.p_tprod()
-        while self.at("+"):
-            self.i += 1
-            left = TailCall("plus", (left, self.p_tprod()))
-        return left
-
-    def p_tprod(self):
-        left = self.p_tatom()
-        while self.at("*"):
-            self.i += 1
-            left = TailCall("times", (left, self.p_tatom()))
-        return left
 
     def p_tatom(self):
         kind, value, line, col = self.advance()
@@ -189,14 +163,14 @@ class _BdeParser(TokenCursor):
             self.i += 1
             args = []
             if not self.at(")"):
-                args.append(self.p_tsum())
+                args.append(self.p_expr(False))
                 while self.at(","):
                     self.i += 1
-                    args.append(self.p_tsum())
+                    args.append(self.p_expr(False))
             self.expect(")")
             return TailCall(value, tuple(args))
         if kind == "(":
-            out = self.p_tsum()
+            out = self.p_expr(False)
             self.expect(")")
             return out
         raise ParseError(f"expected a tail term, found {value or kind!r}", (line, col))
@@ -213,19 +187,13 @@ def parse_bde(text: str):
 
 
 def _check_head(h, k):
-    if isinstance(h, HeadNum):
-        return
-    if isinstance(h, HeadVar):
+    if h.__class__ is Prim:
+        _check_head(h.left, k)
+        _check_head(h.right, k)
+    elif h.__class__ is Var:
         m = _VAR_RE.match(h.name)
         if not m or m.group(1) != "x" or int(m.group(2)) > k:
             raise BadVariable(f"head may only use x1..x{k}, found {h.name!r}")
-        return
-    _check_head(h.left, k)
-    _check_head(h.right, k)
-
-
-def _varish(name: str) -> bool:
-    return bool(_VARISH_RE.match(name))
 
 
 def validate_bde(defs) -> None:
@@ -242,8 +210,6 @@ def validate_bde(defs) -> None:
         _check_head(d.head, d.arity)
         _check_tail(d.tail, d, p, positions, {q.name: q for q in defs})
 
-    return None
-
 
 def _check_tail(t, d, pos, positions, byname):
     if isinstance(t, TailVar):
@@ -255,7 +221,7 @@ def _check_tail(t, d, pos, positions, byname):
     assert isinstance(t, TailCall)
     if _VAR_RE.match(t.name):
         raise BadVariable(f"variable {t.name!r} cannot be applied")
-    if _varish(t.name) and t.name not in positions and t.name != d.name:
+    if _VARISH_RE.match(t.name) and t.name not in positions and t.name != d.name:
         raise BadVariable(
             f"tail of {d.name!r} uses {t.name!r}; only x/y/z variables exist"
         )
@@ -302,14 +268,6 @@ def _prelude_pieces():
     return {n: p.lookup(n).resolved() for n in ("consg", "hdg", "tlg", "zeros")}
 
 
-def _head_to_term(h) -> Term:
-    if isinstance(h, HeadNum):
-        return numeral(h.n)
-    if isinstance(h, HeadVar):
-        return Var(h.name)
-    return Prim(h.op, _head_to_term(h.left), _head_to_term(h.right))
-
-
 def _tail_to_term(t, d: BdeDef, compiled: dict) -> Term:
     """The later-stream term for a tail expression, over the variables
     x1..xk, y1..yk : Strg, z1..zk : |>Strg and f : |>((Strg)^k -> Strg)."""
@@ -331,7 +289,6 @@ def _compile_one(d: BdeDef, compiled: dict, pieces: dict) -> CompiledBde:
     consg, hdg, tlg, zeros = (pieces[n] for n in ("consg", "hdg", "tlg", "zeros"))
     gty = _curried(STREAM_G, STREAM_G, k)
 
-    head = _head_to_term(d.head)
     tail = _tail_to_term(d.tail, d, compiled)
 
     ys = [Var(f"y{i}") for i in range(1, k + 1)]
@@ -342,7 +299,7 @@ def _compile_one(d: BdeDef, compiled: dict, pieces: dict) -> CompiledBde:
         tail_sub[f"x{i}"] = App(App(consg, App(hdg, y)), Next(zeros))
         tail_sub[f"z{i}"] = App(tlg, y)
 
-    body = App(App(consg, subst(head, head_sub)), subst(tail, tail_sub))
+    body = App(App(consg, subst(d.head, head_sub)), subst(tail, tail_sub))
     phi = body
     for y in reversed(ys):
         phi = Lam(y.name, STREAM_G, phi)
@@ -421,11 +378,12 @@ def host_const(n: int) -> HostStream:
 
 
 def _eval_head(h, heads):
-    if isinstance(h, HeadNum):
-        return h.n
-    if isinstance(h, HeadVar):
+    """The value of the head term h, given the argument heads."""
+    if h.__class__ is Prim:
+        return PRIMITIVES[h.name](_eval_head(h.left, heads), _eval_head(h.right, heads))
+    if h.__class__ is Var:
         return heads[int(h.name[1:]) - 1]
-    return PRIMITIVES[h.op](_eval_head(h.left, heads), _eval_head(h.right, heads))
+    return h._nv
 
 
 # The oracle names every stream it meets by a structural key, so that

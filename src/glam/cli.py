@@ -35,13 +35,21 @@ def _fuel(given: int | None) -> int:
 
 
 def _read(path: str) -> str:
-    """The text of a program or .bde file, read as UTF-8."""
+    """The text of a program or .bde file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as e:
         raise _InputError(str(e)) from None
+    return _utf8(data, repr(path))
+
+
+def _utf8(data: bytes, what: str) -> str:
+    """data decoded as UTF-8, less a leading byte-order mark; what names
+    data in the error, whose byte offset counts the mark."""
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
-        raise _InputError(f"{path!r} is not UTF-8: {e.reason} at byte {e.start}") from None
+        raise _InputError(f"{what} is not UTF-8: {e.reason} at byte {e.start}") from None
 
 
 def _load(path: str) -> Program:
@@ -185,7 +193,11 @@ def cmd_repl(args) -> int:
 
 
 def run_repl(infile, outfile, fuel: int | None = None) -> None:
+    """Read commands from the text stream infile.  When it has a binary
+    buffer, as sys.stdin does, lines are read from that and decoded
+    here, so a line that is not UTF-8 is one error line."""
     fuel = _fuel(fuel)
+    readline = getattr(infile, "buffer", infile).readline
     program = load_prelude()
     env = program.env()
 
@@ -195,13 +207,13 @@ def run_repl(infile, outfile, fuel: int | None = None) -> None:
     w("glam repl; :t e, :step e, :take n e, :den i e, :load f, :q")
     while True:
         print("glam> ", end="", file=outfile, flush=True)
-        line = infile.readline()
+        line = readline()
         if not line:
             return
-        line = line.strip()
-        if not line:
-            continue
         try:
+            line = (_utf8(line, "input line") if isinstance(line, bytes) else line).strip()
+            if not line:
+                continue
             if line == ":q":
                 return
             if line.startswith(":load "):
@@ -238,7 +250,8 @@ def run_repl(infile, outfile, fuel: int | None = None) -> None:
                 if isinstance(out, machine.Value):
                     w(pretty(out.term))
                 else:
-                    w(f"error: no value after {out.steps} steps")
+                    kind = "stuck" if isinstance(out, machine.Stuck) else "no value"
+                    w(f"error: {kind} after {out.steps} steps")
         except GlamError as e:
             w(e.render())
         except _InputError as e:

@@ -6,8 +6,6 @@ import pytest
 
 import corpus
 from glam.bde import (
-    HeadOp,
-    HeadVar,
     HostStream,
     TailCall,
     TailVar,
@@ -21,9 +19,16 @@ from glam.bde import (
     parse_bde,
     validate_bde,
 )
-from glam.errors import BadVariable, BdeError, ForwardReference, ParseError, UnknownSymbol
+from glam.errors import (
+    BadVariable,
+    BdeError,
+    ForwardReference,
+    GlamError,
+    ParseError,
+    UnknownSymbol,
+)
 from glam.machine import erase, take_stream
-from glam.syntax import App, Next, alpha_eq
+from glam.syntax import App, Next, Prim, Var, alpha_eq
 from glam.typecheck import check
 
 SRC = """
@@ -51,20 +56,20 @@ def _toggle():
 def test_parse_zeros_block():
     d = DEFS[0]
     assert d.name == "zeros" and d.arity == 0
-    assert d.head.n == 0
+    assert d.head._nv == 0
     assert d.tail == TailCall("zeros", ())
 
 
 def test_parse_plus_block():
     d = next(x for x in DEFS if x.name == "plus")
     assert d.arity == 2
-    assert d.head == HeadOp("addN", HeadVar("x1"), HeadVar("x2"))
+    assert alpha_eq(d.head, Prim("addN", Var("x1"), Var("x2")))
     assert d.tail == TailCall("plus", (TailVar("z", 1), TailVar("z", 2)))
 
 
 def test_parse_times_block():
     d = next(x for x in DEFS if x.name == "times")
-    assert d.head == HeadOp("mulN", HeadVar("x1"), HeadVar("x2"))
+    assert alpha_eq(d.head, Prim("mulN", Var("x1"), Var("x2")))
     assert d.tail == TailCall(
         "plus",
         (
@@ -72,6 +77,40 @@ def test_parse_times_block():
             TailCall("times", (TailVar("x", 1), TailVar("z", 2))),
         ),
     )
+
+
+def _compiled_head(head):
+    src = f"bde f(2) {{ head = {head}; tail = z1; }}"
+    return compile_bde(parse_bde(src), "f").guarded
+
+
+def _tail(tail):
+    return parse_bde(f"bde f(2) {{ head = 0; tail = {tail}; }}")[0].tail
+
+
+@pytest.mark.parametrize(
+    "src, same, other",
+    [
+        ("x1 + x2 * 3", "x1 + (x2 * 3)", "(x1 + x2) * 3"),
+        ("x1 * x2 + 3", "(x1 * x2) + 3", "x1 * (x2 + 3)"),
+        ("x1 + x2 + 3", "(x1 + x2) + 3", "x1 + (x2 + 3)"),
+        ("x1 * x2 * 3", "(x1 * x2) * 3", "x1 * (x2 * 3)"),
+    ],
+)
+def test_operator_precedence_and_associativity(src, same, other):
+    # * binds tighter than +, and both group to the left, in heads and tails
+    assert alpha_eq(_compiled_head(src), _compiled_head(same))
+    assert not alpha_eq(_compiled_head(src), _compiled_head(other))
+    tail = src.replace("3", "y1")
+    assert _tail(tail) == _tail(same.replace("3", "y1"))
+    assert _tail(tail) != _tail(other.replace("3", "y1"))
+
+
+def test_operators_stand_for_plus_and_times_in_tails():
+    z1, z2, y1 = TailVar("z", 1), TailVar("z", 2), TailVar("y", 1)
+    assert _tail("z1 + z2 * y1") == TailCall("plus", (z1, TailCall("times", (z2, y1))))
+    assert _tail("z1 + z2 + y1") == TailCall("plus", (TailCall("plus", (z1, z2)), y1))
+    assert _tail("zeros()") == TailCall("zeros", ())
 
 
 def test_parse_syntax_error():
@@ -123,6 +162,57 @@ def test_validate_arity_mismatch():
                      "bde f(1) { head = x1; tail = zeros(z1); }")
     with pytest.raises(BdeError):
         validate_bde(defs)
+
+
+_PLUS = "bde plus(2) { head = x1 + x2; tail = plus(z1, z2); }\n"
+
+
+# Each malformed input, its error's class, message and location, as
+# compile_bde(parse_bde(src), "f") reports it; the whole file is parsed
+# before anything is validated.
+BDE_ERRORS = [
+    ("bde f(1) { head = y1; tail = z1; }",
+     BadVariable, "head may only use x1..x1, found 'y1'", None),
+    ("bde f(2) { head = x1 + x9; tail = z1; }",
+     BadVariable, "head may only use x1..x2, found 'x9'", None),
+    ("bde f(2) { head = x1; tail = w3; }",
+     BadVariable, "tail of 'f' uses 'w3'; only x/y/z variables exist", None),
+    ("bde f(2) { head = x1; tail = z3; }",
+     BadVariable, "tail of 'f' uses z3 but arity is 2", None),
+    ("bde f(1) { head = x1; tail = y1(z1); }",
+     BadVariable, "variable 'y1' cannot be applied", None),
+    ("bde f(1) { head = x1; tail = g(z1); }\nbde g(1) { head = x1; tail = z1; }",
+     ForwardReference,
+     "tail of 'f' uses 'g', defined later (mutual recursion is not supported)", None),
+    ("bde f(1) { head = x1; tail = g(z1); }",
+     UnknownSymbol, "tail of 'f' uses undefined 'g'", None),
+    (_PLUS + "bde f(1) { head = x1; tail = plus(z1); }",
+     BdeError, "'plus' has arity 2, applied to 1 arguments in 'f'", None),
+    (_PLUS + _PLUS + "bde f(0) { head = 0; tail = f; }",
+     BdeError, "duplicate equation name", None),
+    ("bde x1(0) { head = 0; tail = x1; }",
+     BadVariable, "equation name 'x1' is a reserved variable", None),
+    ("bde g(0) { head = 0; tail = g; }",
+     BdeError, "no equation named 'f'", None),
+    ("bde f(1) { head = ; tail = z1; }",
+     ParseError, "expected a head term, found ';'", (1, 19)),
+    ("bde f(1) { head = (x1; tail = z1; }",
+     ParseError, "expected ')', found ';'", (1, 22)),
+    ("bde f(1) { head = x1 +; tail = z1; }",
+     ParseError, "expected a head term, found ';'", (1, 23)),
+    ("bde f(1) { head = x1; tail = z1 * ; }",
+     ParseError, "expected a tail term, found ';'", (1, 35)),
+    # a parse error late in the file wins over a bad head early on
+    ("bde f(1) { head = y1; tail = z1; }\nbde g(0) { head = 0 tail = g; }",
+     ParseError, "expected ';', found 'tail'", (2, 21)),
+]
+
+
+@pytest.mark.parametrize("src, cls, message, loc", BDE_ERRORS)
+def test_bde_error_class_message_and_location(src, cls, message, loc):
+    with pytest.raises(GlamError) as e:
+        compile_bde(parse_bde(src), "f")
+    assert (type(e.value), e.value.message, e.value.loc) == (cls, message, loc)
 
 
 def test_validate_plus_requires_earlier_definition():

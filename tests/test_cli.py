@@ -246,6 +246,49 @@ def test_repl_load_of_an_unreadable_file_goes_on(tmp_path, kind):
     assert lines[1:] == ["glam> Nat", "glam> "]
 
 
+@pytest.mark.parametrize("src", ["def x : Nat = 0;\n", "def x : Nat = ();\n"])
+def test_leading_byte_order_mark_is_ignored(capsys, tmp_path, src):
+    # the same output, error positions included, with and without the mark
+    plain, marked = tmp_path / "plain.gl", tmp_path / "marked.gl"
+    plain.write_text(src, encoding="utf-8")
+    marked.write_text(src, encoding="utf-8-sig")
+    code = main(["check", str(plain)])
+    want = capsys.readouterr()
+    assert main(["check", str(marked)]) == code
+    assert capsys.readouterr() == want
+
+
+def _repl_bytes(data: bytes) -> list:
+    out = io.StringIO()
+    run_repl(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), out)
+    return out.getvalue().split("\n")[1:]
+
+
+def test_repl_line_that_is_not_utf8_goes_on():
+    lines = _repl_bytes(b":t \xff\n:t fst (1, ())\n")
+    assert lines == [
+        "glam> error: input line is not UTF-8: invalid start byte at byte 3",
+        "glam> Nat",
+        "glam> ",
+    ]
+
+
+def test_repl_strict_stdin_is_not_a_traceback():
+    src = str(Path(glam.__file__).parent.parent)
+    env = dict(os.environ, PYTHONIOENCODING="utf-8",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "glam.cli", "repl"], input=b":t \xff\n:t 0\n",
+        capture_output=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode().split("\n")[1:] == [
+        "glam> error: input line is not UTF-8: invalid start byte at byte 3",
+        "glam> Nat",
+        "glam> ",
+    ]
+
+
 def test_missing_definition(capsys):
     assert main(["run", str(PRELUDE_PATH), "nonexistent"]) == 1
 
@@ -328,6 +371,12 @@ def test_repl_zero_fuel():
     out = io.StringIO()
     run_repl(io.StringIO("addN 1 1\n"), out, fuel=0)
     assert "error: no value after 0 steps" in out.getvalue()
+
+
+def test_repl_stuck_term_is_not_out_of_fuel():
+    out = io.StringIO()
+    run_repl(io.StringIO("fst 0\n"), out)
+    assert out.getvalue().split("\n")[1:] == ["glam> error: stuck after 0 steps", "glam> "]
 
 
 def test_demo_program(capsys):
