@@ -208,10 +208,10 @@ def validate_bde(defs) -> None:
         if d.arity < 0:
             raise BdeError(f"negative arity in {d.name!r}")
         _check_head(d.head, d.arity)
-        _check_tail(d.tail, d, p, positions, {q.name: q for q in defs})
+        _check_tail(d.tail, d, p, positions, defs)
 
 
-def _check_tail(t, d, pos, positions, byname):
+def _check_tail(t, d, pos, positions, defs):
     if isinstance(t, TailVar):
         if t.i > d.arity:
             raise BadVariable(
@@ -233,7 +233,7 @@ def _check_tail(t, d, pos, positions, byname):
                 f"tail of {d.name!r} uses {t.name!r}, defined later "
                 f"(mutual recursion is not supported)"
             )
-        target_arity = byname[t.name].arity
+        target_arity = defs[positions[t.name]].arity
     else:
         raise UnknownSymbol(f"tail of {d.name!r} uses undefined {t.name!r}")
     if len(t.args) != target_arity:
@@ -242,7 +242,7 @@ def _check_tail(t, d, pos, positions, byname):
             f"arguments in {d.name!r}"
         )
     for a in t.args:
-        _check_tail(a, d, pos, positions, byname)
+        _check_tail(a, d, pos, positions, defs)
 
 
 # ---------------------------------------------------------------------------

@@ -353,14 +353,15 @@ def step_rd(t: Term):
 #
 # Lazy memo functions (Hughes, FPCA 1985): the thunks of arguments,
 # explicit-substitution entries, box bodies, next f <*> next a results
-# and beta reducts are hash-consed in a table keyed by the term node
-# and the thunks of its free variables (see _shared).  The calculus is
-# pure, so equal keys mean equal values.  The unrolling of fix then
-# ties into one shared closure, and a BDE call such as
-# times(tail^a x, tail^b y) is evaluated once, not once per path of
-# calls that reaches it.  The components of pair, fold, next and in
-# values stay plain thunks: keying them too would keep every stream
-# cell alive until take_stream returns.
+# and beta reducts are hash-consed, one table per term node, keyed by
+# the thunks of the node's free variables: the thunk itself for a node
+# with one, their tuple for a node with several, () for a closed node
+# (see _shared).  The calculus is pure, so equal keys mean equal
+# values.  The unrolling of fix then ties into one shared closure, and
+# a BDE call such as times(tail^a x, tail^b y) is evaluated once, not
+# once per path of calls that reaches it.  The components of pair,
+# fold, next and in values stay plain thunks: keying them too would
+# keep every stream cell alive until take_stream returns.
 #
 # Values are Python ints for numerals and _Con cells for the other
 # value forms: a Pair holds two thunks, In1/In2/Fold/Next/BoxI one,
@@ -428,16 +429,23 @@ def _shared(t: Term, env: dict, memo: dict) -> _Thunk:
     """The thunk of t in env, one per t and thunks of t's free variables.
 
     The value of t in env depends on nothing else, so a second such
-    thunk would compute the same value: it is the first one.
+    thunk would compute the same value: it is the first one.  ``memo``
+    maps t to its own table, keyed by the thunk of t's free variable
+    when it has one and by the tuple of their thunks otherwise (``()``
+    when t is closed), so the common one-variable key is no tuple.
     """
     if t.__class__ is Var:
         th = env.get(t.name)
         if th is not None:
             return th
-    key = (t, *map(env.get, t._fv))
-    th = memo.get(key)
+    table = memo.get(t)
+    if table is None:
+        table = memo[t] = {}
+    fv = t._fv
+    key = env.get(*fv) if len(fv) == 1 else tuple(map(env.get, fv))
+    th = table.get(key)
     if th is None:
-        th = memo[key] = _Thunk(t, env)
+        th = table[key] = _Thunk(t, env)
     return th
 
 
@@ -460,7 +468,7 @@ def _form(v) -> str:
 def _need(t: Term, env: dict, fuel: int, memo: dict, stack=None):
     """Evaluate t in env to a value, firing at most ``fuel`` rules.
 
-    ``memo`` is the table of shared thunks (see ``_shared``).  ``stack``
+    ``memo`` holds the shared thunks (see ``_shared``).  ``stack``
     may hold initial frames to apply to the value.  A frame is a triple
     (kind, x, y) whose kind is an eliminator's term class or one of
     _UPDATE, _LATER_ARG and _PRIM_ARG.
@@ -658,11 +666,11 @@ def take_stream(t: Term, n: int, fuel: int = DEFAULT_FUEL):
     entry and stream cell is evaluated at most once and then shared.
     Adequacy makes the elements those of call-by-name evaluation.
 
-    One memo table serves all observations of this call and is dropped
-    when it returns.  It maps (term node, thunk of each free variable
-    of the node) to the one thunk for that term there, so a reduct met
-    again, say the same BDE call on the same stream tails, is not
-    evaluated again.
+    One memo serves all observations of this call and is dropped when
+    it returns.  It maps each term node to a table of its own, from the
+    thunks of the node's free variables to the one thunk for that term
+    there (see ``_shared``), so a reduct met again, say the same BDE
+    call on the same stream tails, is not evaluated again.
 
     ``fuel`` bounds the rule firings of each observation (the initial
     force, the unboxing, each head, each tail), as it bounds each

@@ -6,6 +6,7 @@ import pytest
 
 import corpus
 from glam.bde import (
+    BdeDef,
     HostStream,
     TailCall,
     TailVar,
@@ -27,8 +28,9 @@ from glam.errors import (
     ParseError,
     UnknownSymbol,
 )
+from glam.denot import den_take
 from glam.machine import erase, take_stream
-from glam.syntax import App, Next, Prim, Var, alpha_eq
+from glam.syntax import App, Next, Prim, Var, alpha_eq, numeral
 from glam.typecheck import check
 
 SRC = """
@@ -213,6 +215,14 @@ def test_bde_error_class_message_and_location(src, cls, message, loc):
     with pytest.raises(GlamError) as e:
         compile_bde(parse_bde(src), "f")
     assert (type(e.value), e.value.message, e.value.loc) == (cls, message, loc)
+
+
+def test_negative_arity_is_refused():
+    # a parsed file cannot reach this check: its arity is a digit string
+    defs = [BdeDef("f", -1, numeral(0), TailCall("f", ()))]
+    with pytest.raises(BdeError) as e:
+        validate_bde(defs)
+    assert e.value.message == "negative arity in 'f'"
 
 
 def test_validate_plus_requires_earlier_definition():
@@ -408,6 +418,23 @@ def test_memoized_oracle_matches_plain_oracle():
             for n in range(1, 11):
                 got = oracle_eval(STREAMS_BDE, d.name, _hosts(args), n)
                 assert got == want[:n], (d.name, args, n)
+
+
+# Tails that are a bare variable, not a call: the oracle's chain of
+# calls ends there and goes on in the argument stream.
+BARE_TAILS = parse_bde("bde same(1) { head = x1; tail = z1; }\n"
+                       "bde again(1) { head = x1; tail = y1; }")
+
+
+@pytest.mark.parametrize("name", ["same", "again"])
+@pytest.mark.parametrize("arg", list(ARGS))
+def test_bare_tail_runners_agree(name, arg):
+    s = ARGS[arg][2]
+    want = [s(i) for i in range(6)] if name == "same" else [s(0)] + [s(i) for i in range(5)]
+    t = _applied(BARE_TAILS, name, (arg,))
+    assert oracle_eval(BARE_TAILS, name, _hosts((arg,)), 6) == want
+    assert take_stream(t, 6) == want
+    assert den_take(t, 6) == want
 
 
 # A per-observation fuel between what sharing needs and what a tree of

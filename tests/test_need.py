@@ -107,6 +107,28 @@ def test_take_stream_matches_reference_on_bde_combinations():
         _agrees(t, 6, label)
 
 
+def test_take_stream_runs_boxp():
+    src = ("fold[mu a. Nat * |>a] (case (boxp (inl[Nat + Unit] 5)) of "
+           "inl b -> unbox b | inr u -> 0, next zeros)")
+    t = corpus.term(src)
+    assert take_stream(t, 4) == [5, 0, 0, 0]
+    _agrees(t, 4, "boxp")
+
+
+def test_take_stream_least_fuel():
+    # the least per-observation fuel at which take_stream succeeds: a
+    # change that lost some sharing would need more
+    bde_terms = dict(_bde_combinations())
+    for label, t, n, fuel in [
+        ("times toggle toggle", bde_terms["times", ("toggle", "toggle")], 6, 280),
+        ("times toggle nats", bde_terms["times", ("toggle", "nats")], 6, 327),
+        ("paperfolds", corpus.term("paperfolds"), 16, 19),
+    ]:
+        assert take_stream(t, n, fuel=fuel) == take_stream(t, n), label
+        with pytest.raises(FuelExhaustedError):
+            take_stream(t, n, fuel=fuel - 1)
+
+
 def test_take_stream_fuel_bounds_each_observation():
     with pytest.raises(FuelExhaustedError):
         take_stream(corpus.term("paperfolds"), 4, fuel=2)
