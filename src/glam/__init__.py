@@ -28,7 +28,7 @@ from .machine import (
     take_stream,
     trace,
 )
-from .denot import den_nat, den_take, den_term, restrict, sem_eq
+from .denot import den_nat, den_take, den_term, restrict
 from .bde import compile_bde, oracle_eval, parse_bde, validate_bde
 from .prelude import load_extras, load_prelude
 from .syntax import alpha_eq, erase, free_vars, numeral, subst, type_alpha_eq
@@ -69,7 +69,6 @@ __all__ = [
     "den_take",
     "den_term",
     "restrict",
-    "sem_eq",
     "compile_bde",
     "oracle_eval",
     "parse_bde",

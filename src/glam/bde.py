@@ -373,10 +373,6 @@ def host_nats() -> HostStream:
     return HostStream(lambda i: i)
 
 
-def host_const(n: int) -> HostStream:
-    return HostStream(lambda i: n)
-
-
 def _eval_head(h, heads):
     """The value of the head term h, given the argument heads."""
     if h.__class__ is Prim:

@@ -204,7 +204,7 @@ def run_repl(infile, outfile, fuel: int | None = None) -> None:
     def w(line):
         print(line, file=outfile)
 
-    w("glam repl; :t e, :step e, :take n e, :den i e, :load f, :q")
+    w(f"glam repl; {', '.join(_USAGE.values())}, :q")
     while True:
         print("glam> ", end="", file=outfile, flush=True)
         line = readline()
@@ -216,23 +216,26 @@ def run_repl(infile, outfile, fuel: int | None = None) -> None:
                 continue
             if line == ":q":
                 return
-            if line.startswith(":load "):
-                program = _load(line[len(":load "):].strip())
+            cmd, _, arg = line.partition(" ")
+            if cmd in _USAGE and not arg:
+                raise _InputError(f"usage: {_USAGE[cmd]}")
+            if cmd == ":load":
+                program = _load(arg.strip())
                 env = program.env()
                 w(f"loaded {len(program)} definitions")
-            elif line.startswith(":t "):
-                t = parse_term(line[3:], env=env, strict=True)
+            elif cmd == ":t":
+                t = parse_term(arg, env=env, strict=True)
                 w(pretty_type(typecheck.infer({}, t)))
-            elif line.startswith(":step "):
-                t = machine.erase(parse_term(line[6:], env=env, strict=True))
+            elif cmd == ":step":
+                t = machine.erase(parse_term(arg, env=env, strict=True))
                 nxt = machine.step(t)
                 w(pretty(nxt) if nxt is not None else "(no step: value or stuck)")
-            elif line.startswith(":take "):
-                n, src = _count_and_term(":take n e", line[6:])
+            elif cmd == ":take":
+                n, src = _count_and_term(cmd, arg)
                 t = parse_term(src, env=env, strict=True)
                 w(" ".join(str(x) for x in machine.take_stream(t, n, fuel)))
-            elif line.startswith(":den "):
-                i, src = _count_and_term(":den i e", line[5:])
+            elif cmd == ":den":
+                i, src = _count_and_term(cmd, arg)
                 t = parse_term(src, env=env, strict=True)
                 try:
                     ty = typecheck.infer({}, t)
@@ -262,11 +265,15 @@ class _InputError(Exception):
     """A file that cannot be read as UTF-8, or a malformed REPL command."""
 
 
-def _count_and_term(usage: str, rest: str):
+# The usage line of each REPL command that takes an argument, by its name.
+_USAGE = {u.split()[0]: u for u in (":t e", ":step e", ":take n e", ":den i e", ":load f")}
+
+
+def _count_and_term(cmd: str, rest: str):
     """The count and the term source of :take and :den."""
     parts = rest.split(None, 1)
     if len(parts) != 2 or not parts[0].isdecimal():
-        raise _InputError(f"usage: {usage}")
+        raise _InputError(f"usage: {_USAGE[cmd]}")
     return int(parts[0]), parts[1]
 
 

@@ -82,16 +82,14 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 
-from .errors import DepthExceeded, DenotError, IndexZero, TypingError, nesting_guard
+from .errors import DepthExceeded, IndexZero, TypingError, nesting_guard
 from .syntax import (
     NAT,
     PRIMITIVES,
     STREAM_G,
     Abort,
     App,
-    Arrow,
     Ascribe,
-    Box,
     BoxI,
     BoxSum,
     Case,
@@ -99,28 +97,20 @@ from .syntax import (
     In1,
     In2,
     Lam,
-    Later,
     LaterApp,
-    Mu,
-    Nat,
     Next,
     Pair,
     Prev,
     Prim,
-    Prod,
     Proj1,
     Proj2,
     Succ,
-    Sum,
-    TVar,
     Term,
     Type,
     Unbox,
     Unfold,
-    Unit,
     UnitVal,
     Var,
-    Void,
     Zero,
 )
 from . import typecheck
@@ -447,12 +437,10 @@ def _den(t: Term, i: int, env: dict) -> SemVal:
 
 
 def _body(t, i, env):
-    # fold, unfold and ascription denote identities
+    # fold, unfold and ascription denote identities.  abort denotes the
+    # map out of Void, which denotes the empty set at every stage: its
+    # body has no element to denote, so well-typed input never gets here.
     return _den(t.body, i, env)
-
-
-def _abort(t, i, env):
-    raise DenotError("abort evaluated: the empty type has no elements")
 
 
 def _case(t, i, env):
@@ -532,6 +520,11 @@ def _fixpoint(j, f):
     return v
 
 
+def _succ(t, i, env):
+    n = t._nv  # a numeral denotes its value at once
+    return _den(t.body, i, env) + 1 if n is None else n
+
+
 def _prim(t, i, env):
     return PRIMITIVES[t.name](_den(t.left, i, env), _den(t.right, i, env))
 
@@ -539,12 +532,12 @@ def _prim(t, i, env):
 _RULES = {
     Var: lambda t, i, env: env[t.name],
     Zero: lambda t, i, env: 0,
-    Succ: lambda t, i, env: _den(t.body, i, env) + 1,
+    Succ: _succ,
     UnitVal: lambda t, i, env: SUNIT,
     Pair: lambda t, i, env: SPair(_den(t.left, i, env), _den(t.right, i, env)),
     Proj1: lambda t, i, env: _den(t.body, i, env).left,
     Proj2: lambda t, i, env: _den(t.body, i, env).right,
-    Abort: _abort,
+    Abort: _body,
     In1: lambda t, i, env: SIn(1, _den(t.body, i, env)),
     In2: lambda t, i, env: SIn(2, _den(t.body, i, env)),
     Case: _case,
@@ -609,40 +602,3 @@ def den_take(t: Term, i: int, depth_limit: int = DEFAULT_DEPTH):
             else:
                 assert v.right is SLATERSTAR
     return out
-
-
-# ---------------------------------------------------------------------------
-# First-order semantic equality (for tests and cross-checks)
-
-
-def sem_eq(a: Type, i: int, v: SemVal, w: SemVal) -> bool:
-    """Equality of stage-i elements at first-order types.
-
-    Function types are not enumerable and raise ValueError; #-types are
-    compared on stages 1..max(i, 2).
-    """
-    match a:
-        case Nat():
-            return v == w
-        case Unit():
-            return True
-        case Prod(l, r):
-            return sem_eq(l, i, v.left, w.left) and sem_eq(r, i, v.right, w.right)
-        case Sum(l, r):
-            if v.tag != w.tag:
-                return False
-            return sem_eq(l if v.tag == 1 else r, i, v.val, w.val)
-        case Later(b):
-            if i == 1:
-                return v is SLATERSTAR and w is SLATERSTAR
-            return sem_eq(b, i - 1, v.val, w.val)
-        case Box(b):
-            return all(sem_eq(b, j, v.at(j), w.at(j)) for j in range(1, max(i, 2) + 1))
-        case Mu(_, _):
-            return sem_eq(typecheck._mu_unfold(a), i, v, w)
-        case Arrow(_, _):
-            raise ValueError("semantic equality undefined at function types")
-        case Void() | TVar(_):
-            raise ValueError(f"no elements at {a!r}")
-        case _:
-            raise TypeError(f"not a type: {a!r}")

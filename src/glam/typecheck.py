@@ -44,7 +44,6 @@ from .errors import (
 from .frontend import pretty_type
 from .syntax import (
     NAT,
-    PRIMITIVES,
     UNIT,
     VOID,
     Abort,
@@ -399,8 +398,6 @@ def _elab1(ctx, t, want):
                 raise TypeMismatch("boxp body must have a sum type", t.loc)
             return BoxSum(sig2, b2, loc=t.loc), Sum(Box(tb.left), Box(tb.right))
         case Prim(name, a, b):
-            if name not in PRIMITIVES:
-                raise TypingError(f"bad primitive application {name}", t.loc)
             a2, _ = _elab(ctx, a, NAT)
             b2, _ = _elab(ctx, b, NAT)
             return _done(Prim(name, a2, b2, loc=t.loc), NAT, want, t.loc)
@@ -540,8 +537,6 @@ def _syn_later_app(ctx, t):
 
 
 def _syn_prim(ctx, t):
-    if t.name not in PRIMITIVES:
-        raise _Fallback
     _same(_syn(ctx, t.left), NAT)
     _same(_syn(ctx, t.right), NAT)
     return NAT

@@ -12,7 +12,6 @@ from glam.bde import (
     TailVar,
     _eval_head,
     compile_bde,
-    host_const,
     host_nats,
     host_toggle,
     host_zeros,
@@ -279,6 +278,10 @@ def test_oracle_zeros():
 
 def test_oracle_plus():
     assert oracle_eval(DEFS, "plus", [host_toggle(), host_toggle()], 4) == [2, 0, 2, 0]
+
+
+def host_const(n):
+    return HostStream(lambda i: n)
 
 
 def test_oracle_times_convolution():

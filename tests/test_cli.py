@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import glam
+from glam import bde as bdemod
 from glam.cli import main, run_repl
 from glam.prelude import PRELUDE_PATH
 
@@ -95,9 +96,9 @@ def test_large_numeral_checks_and_runs(capsys, tmp_path):
     assert main(["check", str(path)]) == 0
     assert main(["run", str(path), "big"]) == 0
     assert capsys.readouterr().out == "big : Nat\n150000\n"
-    # the denotation walks the numeral, within its depth budget
-    assert main(["denote", str(path), "big"]) == 1
-    assert capsys.readouterr().err.startswith("DepthExceeded: ")
+    # a numeral denotes its value at once, as it elaborates and runs
+    assert main(["denote", str(path), "big"]) == 0
+    assert capsys.readouterr().out == "150000\n"
 
 
 def test_non_ascii_digit_is_one_line_parse_error(capsys, tmp_path):
@@ -409,6 +410,42 @@ def test_bde_run_unknown_arg(capsys):
     assert main(["bde-run", str(PROGRAMS / "streams.bde"), "plus", "bogus", "zeros"]) == 1
 
 
+def test_bde_run_unknown_equation(capsys):
+    assert main(["bde-run", str(PROGRAMS / "streams.bde"), "nosuch", "zeros"]) == 1
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == "BdeError: no equation named 'nosuch'\n"
+
+
+def test_bde_run_nats_argument(capsys):
+    argv = ["bde-run", str(PROGRAMS / "streams.bde"), "plus", "nats", "toggle", "--n", "3"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "i compiled oracle\n0 1 1\n1 1 1\n2 3 3\nMATCH\n"
+
+
+def test_bde_run_reports_a_mismatch(capsys, monkeypatch):
+    # the table and the verdict when the oracle disagrees with the compiled term
+    monkeypatch.setattr(bdemod, "oracle_eval", lambda defs, name, args, n: [0, 7][:n])
+    argv = ["bde-run", str(PROGRAMS / "streams.bde"), "plus", "toggle", "zeros", "--n", "2"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == "i compiled oracle\n0 1 0\n1 0 7\nMISMATCH\n"
+
+
+def test_denote_refuses_a_function_by_its_type(capsys):
+    assert main(["denote", str(PRELUDE_PATH), "pred"]) == 1
+    assert capsys.readouterr().err == (
+        "Error: denote handles Nat and stream definitions, "
+        "not #(mu a. Unit + |>a) -> Unit + #(mu a. Unit + |>a)\n"
+    )
+
+
+def test_primitive_cannot_be_redefined(capsys, tmp_path):
+    path = tmp_path / "prim.gl"
+    path.write_text("def addN : Nat = 0;")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == "ParseError: cannot redefine primitive 'addN' (at 1:5)\n"
+
+
 @pytest.mark.parametrize("streams", [["toggle"], ["toggle", "toggle", "zeros"]])
 def test_bde_run_refuses_a_wrong_number_of_streams(capsys, streams):
     argv = ["bde-run", str(PROGRAMS / "streams.bde"), "plus", *streams, "--n", "4"]
@@ -461,6 +498,46 @@ def test_repl_session():
     ) in text
     assert "error: [Errno 2] No such file or directory: 'no-such-file.gl'\n" in text
     assert text.endswith("glam> 1 0\nglam> ")
+
+
+def _repl_replies(lines):
+    """The REPL's reply to each line, after the banner."""
+    out = io.StringIO()
+    run_repl(io.StringIO("\n".join(lines) + "\n"), out)
+    return out.getvalue().split("\n")[1:-1]
+
+
+def test_repl_command_without_its_argument_prints_its_usage():
+    lines = [":t", ":step", ":take", ":den", ":load", ":bogus", ":q"]
+    assert _repl_replies(lines) == [
+        "glam> error: usage: :t e",
+        "glam> error: usage: :step e",
+        "glam> error: usage: :take n e",
+        "glam> error: usage: :den i e",
+        "glam> error: usage: :load f",
+        "glam> unknown command ':bogus'",
+    ]
+
+
+# REPL lines that no well-typed program or file reaches: each ends in one
+# error line, and a blank line prints nothing.
+_REPL_ERRORS = [
+    (":take 1 succ ()", "Stuck: stuck term: succ of a non-numeral"),
+    (":take 1 abort ()", "Stuck: stuck term: abort"),
+    (":take 1 (\\x:Nat. x) <*> next 0", "Stuck: stuck term: <*> of a non-next value"),
+    (":den 2 boxp (inl[Nat+Nat] 0)", "TypeMismatch: boxp must produce a sum of # types (at 1:1)"),
+    (":t prev{x<-0, x<-1}. x", "ParseError: duplicate variable x in substitution (at 1:12)"),
+    (":t prev{x<-0;}. x", "ParseError: expected ',' or '}' in substitution (at 1:10)"),
+    (":t inl[] 0", "ParseError: expected a type, found ']' (at 1:5)"),
+    (":t )", "ParseError: expected a term, found ')' (at 1:1)"),
+    (":t 0 )", "ParseError: unexpected ')' after term (at 1:3)"),
+]
+
+
+def test_repl_errors_of_ill_formed_input():
+    lines = [line for line, _ in _REPL_ERRORS]
+    want = [f"glam> {err}" for _, err in _REPL_ERRORS]
+    assert _repl_replies(["", *lines, ":q"]) == ["glam> " + want[0], *want[1:]]
 
 
 def test_repl_eof_exits():

@@ -17,7 +17,6 @@ from glam.denot import (
     den_take,
     den_term,
     restrict,
-    sem_eq,
 )
 from glam.bde import compile_bde, parse_bde
 from glam.errors import DepthExceeded, IndexZero, TypingError
@@ -36,6 +35,8 @@ from glam.syntax import (
     Box,
     Later,
     LaterApp,
+    Mu,
+    Nat,
     Pair,
     Prod,
     Unbox,
@@ -44,6 +45,7 @@ from glam.syntax import (
     free_vars,
     numeral,
     subst,
+    type_subst,
 )
 from glam.typecheck import elaborate
 
@@ -56,6 +58,23 @@ def _elab_stream(t):
     """t elaborated, and unboxed if it is a #-ed stream."""
     t, ty = elaborate({}, t)
     return Unbox(t) if isinstance(ty, Box) else t
+
+
+def sem_eq(a, i, v, w):
+    """Equality of stage-i elements at the types these tests compare:
+    Nat, products, later types and mu-types."""
+    match a:
+        case Nat():
+            return v == w
+        case Prod(l, r):
+            return sem_eq(l, i, v.left, w.left) and sem_eq(r, i, v.right, w.right)
+        case Later(b):
+            if i == 1:
+                return v is SLATERSTAR and w is SLATERSTAR
+            return sem_eq(b, i - 1, v.val, w.val)
+        case Mu():
+            return sem_eq(type_subst(a.body, a.var, a), i, v, w)
+    raise ValueError(f"no semantic equality at {a!r}")
 
 
 def _stream_val(*heads):
@@ -155,6 +174,17 @@ def test_restrict_stream_drops_last_stage():
 
 def test_restrict_later_to_stage_one():
     assert restrict(SLater(5), 1) is SLATERSTAR
+
+
+def test_values_of_different_forms_are_unequal():
+    assert SPair(1, 2) != SIn(1, 2)
+    assert SLater(0) != SPair(0, SLATERSTAR)
+
+
+def test_a_later_value_made_by_later_app_has_no_other_fields():
+    w = _app_value(3, 5)
+    assert not hasattr(w, "left")
+    assert w.val == 5
 
 
 def test_restrict_stage_zero_rejected():

@@ -180,6 +180,24 @@ def test_primitive_of_a_non_numeral_is_stuck(src, steps, stuck):
     assert e.value.render() == "Stuck: stuck term: addN of a non-numeral"
 
 
+def test_later_app_of_a_non_next_is_stuck():
+    t = erase(parse_term("(\\x:Nat. x) <*> next 0"))
+    assert not is_value(t)
+    assert step(t) is None and step_rd(t) is None
+
+
+def test_observe_nat_of_a_value_that_is_not_a_numeral():
+    with pytest.raises(StuckError) as e:
+        observe_nat(UnitVal())
+    assert e.value.render() == "Stuck: value is not a numeral: ()"
+
+
+def test_observe_conat_of_a_value_that_is_not_an_injection():
+    with pytest.raises(StuckError) as e:
+        observe_conat(parse_term("fold 0"), 3)
+    assert e.value.render() == "Stuck: conatural unfolding is not an injection"
+
+
 def test_observe_nat_fuel_error():
     with pytest.raises(FuelExhaustedError):
         observe_nat(_t("hdg paperfolds"), fuel=2)

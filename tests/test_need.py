@@ -153,6 +153,14 @@ def test_take_stream_fuel_bounds_each_observation():
         take_stream(t, 1, fuel=most - 1)
 
 
+def test_take_stream_charges_a_substitution_as_a_step():
+    # the term is a prev with a substitution, so its first step applies it
+    t = corpus.term("prev{z <- box zeros}. next (unbox z)")
+    assert take_stream(t, 2) == reference_take(t, 2)[0] == [0, 0]
+    with pytest.raises(FuelExhaustedError):
+        take_stream(t, 2, fuel=0)
+
+
 @pytest.mark.parametrize(
     "label,t",
     [

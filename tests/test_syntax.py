@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 import corpus
 from glam import denot
 from glam import machine as M
+from glam.frontend import pretty_type
 from glam.syntax import (
     BINDER,
     DATA,
@@ -351,6 +352,17 @@ def test_every_term_class_has_a_denotation_rule():
     assert set(denot._RULES) == set(Term.__subclasses__())
     with pytest.raises(TypeError, match="not a term: 5"):
         denot.den_term({}, 5, NAT, 1, elaborated=True)
+
+
+def test_a_non_term_or_non_type_is_named_in_the_error():
+    # the dispatch on the class ends in this guard in alpha_eq, the
+    # need-machine and the type printer
+    with pytest.raises(TypeError, match="not a term: 5"):
+        alpha_eq(5, 6)
+    with pytest.raises(TypeError, match="not a term: 5"):
+        M.take_stream(5, 1)
+    with pytest.raises(TypeError, match="not a type: 5"):
+        pretty_type(5)
 
 
 # ---------------------------------------------------------------------------

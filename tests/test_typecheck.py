@@ -13,6 +13,7 @@ from glam.errors import (
     TypeMismatch,
     TypingError,
     UnboundTypeVar,
+    UnboundVariable,
     UnguardedMu,
 )
 from glam.frontend import parse_program, parse_term, parse_type
@@ -279,6 +280,14 @@ def test_eliminator_and_annotated_introduction_errors(src, cls, message, loc):
         elaborate({}, parse_term(src))
     got = (type(e.value), e.value.code, e.value.message, e.value.loc)
     assert got == (cls, cls.code, message, loc)
+
+
+def test_free_variable_is_unbound():
+    # the parsers refuse an unknown name in a program or a REPL line; a
+    # term parsed without strict can still reach the checker open
+    with pytest.raises(UnboundVariable) as e:
+        elaborate({}, parse_term("\\x:Nat. y"))
+    assert (e.value.message, e.value.loc) == ("unbound variable 'y'", (1, 9))
 
 
 # ---------------------------------------------------------------------------
