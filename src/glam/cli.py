@@ -22,6 +22,18 @@ DEFAULT_N = 8
 DEFAULT_INDEX = 3
 
 
+class CliError(GlamError, code="error"):
+    """A file that cannot be read, or is not UTF-8, a malformed REPL
+    command, or an evaluation that ends without a value."""
+
+
+def _natural(text: str) -> int | None:
+    """A count, stage or fuel read from text, or None: only ASCII
+    digits, perhaps between blanks, as in a program numeral."""
+    s = text.strip()
+    return int(s) if s.isascii() and s.isdigit() else None
+
+
 def _fuel(given: int | None) -> int:
     """The given fuel, else GLAM_FUEL, else the machine's default."""
     if given is not None:
@@ -29,9 +41,10 @@ def _fuel(given: int | None) -> int:
     env = os.environ.get("GLAM_FUEL")
     if not env:
         return machine.DEFAULT_FUEL
-    if not env.strip().isdecimal():
+    n = _natural(env)
+    if n is None:
         raise GlamError(f"GLAM_FUEL must be a non-negative integer, not {env!r}")
-    return int(env)
+    return n
 
 
 def _read(path: str) -> str:
@@ -39,7 +52,7 @@ def _read(path: str) -> str:
     try:
         data = Path(path).read_bytes()
     except OSError as e:
-        raise _InputError(str(e)) from None
+        raise CliError(str(e)) from None
     return _utf8(data, repr(path))
 
 
@@ -49,7 +62,7 @@ def _utf8(data: bytes, what: str) -> str:
     try:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
-        raise _InputError(f"{what} is not UTF-8: {e.reason} at byte {e.start}") from None
+        raise CliError(f"{what} is not UTF-8: {e.reason} at byte {e.start}") from None
 
 
 def _load(path: str) -> Program:
@@ -61,13 +74,13 @@ def _load(path: str) -> Program:
 
 def _count(text: str) -> int:
     """argparse type of counts, stages and fuel: a non-negative integer."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 0:
+    s = text.strip()
+    n = _natural(s)
+    if n is not None:
+        return n
+    if s[:1] == "-" and _natural(s[1:]) is not None:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
-    return n
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _lookup(program: Program, name: str):
@@ -88,6 +101,19 @@ def _is_stream_type(ty) -> bool:
     return isinstance(ty, Box) and type_alpha_eq(ty.body, STREAM_G)
 
 
+def _observe(cmd: str, t, ty, n: int, fuel: int | None = None) -> str:
+    """The line that cmd, take or denote, prints for the term t of type
+    ty at count or stage n.  A term of unknown type (None) is read as a
+    stream."""
+    if ty is not None and not _is_stream_type(ty):
+        if cmd == "denote" and type_alpha_eq(ty, NAT):
+            return str(denot.den_nat(t, n))
+        nat = "Nat and " if cmd == "denote" else ""
+        raise GlamError(f"{cmd} handles {nat}stream definitions, not {pretty_type(ty)}")
+    xs = machine.take_stream(t, n, _fuel(fuel)) if cmd == "take" else denot.den_take(t, n)
+    return " ".join(str(x) for x in xs)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -103,22 +129,18 @@ def cmd_run(args) -> int:
     program = _load(args.file)
     d = _lookup(program, args.name)
     out = machine.eval_term(d.resolved(), fuel=_fuel(args.fuel))
-    if isinstance(out, machine.Value):
-        print(pretty(out.term))
-        return 0
-    kind = "fuel exhausted" if isinstance(out, machine.FuelExhausted) else "stuck"
-    print(f"error: {kind} after {out.steps} steps", file=sys.stderr)
-    return 1
+    if not isinstance(out, machine.Value):
+        kind = "fuel exhausted" if isinstance(out, machine.FuelExhausted) else "stuck"
+        raise CliError(f"{kind} after {out.steps} steps")
+    print(pretty(out.term))
+    return 0
 
 
 def cmd_take(args) -> int:
     program = _load(args.file)
     d = _lookup(program, args.name)
-    if not _is_stream_type(d.ty):
-        raise GlamError(f"take handles stream definitions, not {pretty_type(d.ty)}")
     n = _given(args.n, args.count, DEFAULT_N)
-    xs = machine.take_stream(d.resolved(), n, fuel=_fuel(args.fuel))
-    print(" ".join(str(x) for x in xs))
+    print(_observe("take", d.resolved(), d.ty, n, args.fuel))
     return 0
 
 
@@ -126,15 +148,7 @@ def cmd_denote(args) -> int:
     program = _load(args.file)
     d = _lookup(program, args.name)
     i = _given(args.index, args.stage, DEFAULT_INDEX)
-    if type_alpha_eq(d.ty, NAT):
-        print(denot.den_nat(d.resolved(), i))
-    elif _is_stream_type(d.ty):
-        xs = denot.den_take(d.resolved(), i)
-        print(" ".join(str(x) for x in xs))
-    else:
-        raise GlamError(
-            f"denote handles Nat and stream definitions, not {pretty_type(d.ty)}"
-        )
+    print(_observe("denote", d.resolved(), d.ty, i))
     return 0
 
 
@@ -218,7 +232,7 @@ def run_repl(infile, outfile, fuel: int | None = None) -> None:
                 return
             cmd, _, arg = line.partition(" ")
             if cmd in _USAGE and not arg:
-                raise _InputError(f"usage: {_USAGE[cmd]}")
+                raise CliError(f"usage: {_USAGE[cmd]}")
             if cmd == ":load":
                 program = _load(arg.strip())
                 env = program.env()
@@ -230,39 +244,25 @@ def run_repl(infile, outfile, fuel: int | None = None) -> None:
                 t = machine.erase(parse_term(arg, env=env, strict=True))
                 nxt = machine.step(t)
                 w(pretty(nxt) if nxt is not None else "(no step: value or stuck)")
-            elif cmd == ":take":
+            elif cmd in (":take", ":den"):
                 n, src = _count_and_term(cmd, arg)
-                t = parse_term(src, env=env, strict=True)
-                w(" ".join(str(x) for x in machine.take_stream(t, n, fuel)))
-            elif cmd == ":den":
-                i, src = _count_and_term(cmd, arg)
                 t = parse_term(src, env=env, strict=True)
                 try:
                     ty = typecheck.infer({}, t)
                 except GlamError:
                     ty = None
-                if ty is not None and type_alpha_eq(ty, NAT):
-                    w(str(denot.den_nat(t, i)))
-                else:
-                    w(" ".join(str(x) for x in denot.den_take(t, i)))
+                w(_observe("take" if cmd == ":take" else "denote", t, ty, n, fuel))
             elif line.startswith(":"):
                 w(f"unknown command {line.split()[0]!r}")
             else:
                 t = parse_term(line, env=env, strict=True)
                 out = machine.eval_term(t, fuel=fuel)
-                if isinstance(out, machine.Value):
-                    w(pretty(out.term))
-                else:
+                if not isinstance(out, machine.Value):
                     kind = "stuck" if isinstance(out, machine.Stuck) else "no value"
-                    w(f"error: {kind} after {out.steps} steps")
+                    raise CliError(f"{kind} after {out.steps} steps")
+                w(pretty(out.term))
         except GlamError as e:
             w(e.render())
-        except _InputError as e:
-            w(f"error: {e}")
-
-
-class _InputError(Exception):
-    """A file that cannot be read as UTF-8, or a malformed REPL command."""
 
 
 # The usage line of each REPL command that takes an argument, by its name.
@@ -272,9 +272,10 @@ _USAGE = {u.split()[0]: u for u in (":t e", ":step e", ":take n e", ":den i e", 
 def _count_and_term(cmd: str, rest: str):
     """The count and the term source of :take and :den."""
     parts = rest.split(None, 1)
-    if len(parts) != 2 or not parts[0].isdecimal():
-        raise _InputError(f"usage: {_USAGE[cmd]}")
-    return int(parts[0]), parts[1]
+    n = _natural(parts[0]) if len(parts) == 2 else None
+    if n is None:
+        raise CliError(f"usage: {_USAGE[cmd]}")
+    return n, parts[1]
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +341,19 @@ def main(argv=None) -> int:
     except GlamError as e:
         print(e.render(), file=sys.stderr)
         return 1
-    except _InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: exit 1 quietly.  stdout points at
+        # devnull, so that the flush at exit does not fail again (the
+        # recipe in the documentation of Python's signal module).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

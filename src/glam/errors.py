@@ -1,12 +1,16 @@
 """Error hierarchy shared by all glam modules.
 
 Every error carries a stable machine-readable ``code`` plus a human
-message; ``render()`` produces the one-line form used by the CLI,
-with a source span when one is known.  ``nesting_guard`` turns a
-``RecursionError`` into ``NestingTooDeep`` at the recursive entry
-points: the parsers (``frontend.parse_term``, ``parse_type`` and
-``parse_program``, ``bde.parse_bde``), the type checker
-(``elaborate``, ``infer``, ``check``), ``syntax.erase`` and
+message.  The code comes from the class statement: it is the class
+name, unless the statement gives one, as
+``class StuckError(MachineError, code="Stuck")`` does.  ``render()``
+produces the one-line form used by the CLI, with a source span when
+one is known.
+
+``nesting_guard`` turns a ``RecursionError`` into ``NestingTooDeep``
+at the recursive entry points: the parsers (``frontend.parse_term``,
+``parse_type`` and ``parse_program``, ``bde.parse_bde``), the type
+checker (``elaborate``, ``infer``, ``check``), ``syntax.erase`` and
 ``alpha_eq``, ``machine.eval_term`` and ``observe_nat``,
 ``denot.den_term`` and ``den_take``, and the CLI's subcommands.
 """
@@ -23,6 +27,10 @@ NESTING_LIMIT = 100_000
 class GlamError(Exception):
     code = "Error"
 
+    def __init_subclass__(cls, code=None, **kw):
+        super().__init_subclass__(**kw)
+        cls.code = code or cls.__name__
+
     def __init__(self, message, loc=None):
         super().__init__(message)
         self.message = message
@@ -35,62 +43,27 @@ class GlamError(Exception):
         return f"{self.code}: {self.message}"
 
 
-class ParseError(GlamError):
-    code = "ParseError"
+class ParseError(GlamError): ...
 
 
-class TypingError(GlamError):
-    code = "TypingError"
+class TypingError(GlamError): ...
+class UnboundTypeVar(TypingError): ...
+class UnguardedMu(TypingError): ...
+class OpenBox(TypingError): ...
+class TypeMismatch(TypingError): ...
+class NonConstantSubstType(TypingError): ...
+class EscapingVariable(TypingError): ...
+class CannotSynthesize(TypingError): ...
+class UnboundVariable(TypingError): ...
 
 
-class UnboundTypeVar(TypingError):
-    code = "UnboundTypeVar"
-
-
-class UnguardedMu(TypingError):
-    code = "UnguardedMu"
-
-
-class OpenBox(TypingError):
-    code = "OpenBox"
-
-
-class TypeMismatch(TypingError):
-    code = "TypeMismatch"
-
-
-class NonConstantSubstType(TypingError):
-    code = "NonConstantSubstType"
-
-
-class EscapingVariable(TypingError):
-    code = "EscapingVariable"
-
-
-class CannotSynthesize(TypingError):
-    code = "CannotSynthesize"
-
-
-class UnboundVariable(TypingError):
-    code = "UnboundVariable"
-
-
-class MachineError(GlamError):
-    code = "MachineError"
-
-
-class FuelExhaustedError(MachineError):
-    code = "FuelExhausted"
-
-
-class StuckError(MachineError):
-    code = "Stuck"
+class MachineError(GlamError): ...
+class FuelExhaustedError(MachineError, code="FuelExhausted"): ...
+class StuckError(MachineError, code="Stuck"): ...
 
 
 class NestingTooDeep(GlamError):
     """The input is nested deeper than the Python stack allows."""
-
-    code = "NestingTooDeep"
 
 
 def nesting_guard(fn):
@@ -113,29 +86,12 @@ def nesting_guard(fn):
     return guarded
 
 
-class DenotError(GlamError):
-    code = "DenotError"
+class DenotError(GlamError): ...
+class IndexZero(DenotError): ...
+class DepthExceeded(DenotError): ...
 
 
-class IndexZero(DenotError):
-    code = "IndexZero"
-
-
-class DepthExceeded(DenotError):
-    code = "DepthExceeded"
-
-
-class BdeError(GlamError):
-    code = "BdeError"
-
-
-class UnknownSymbol(BdeError):
-    code = "UnknownSymbol"
-
-
-class BadVariable(BdeError):
-    code = "BadVariable"
-
-
-class ForwardReference(BdeError):
-    code = "ForwardReference"
+class BdeError(GlamError): ...
+class UnknownSymbol(BdeError): ...
+class BadVariable(BdeError): ...
+class ForwardReference(BdeError): ...

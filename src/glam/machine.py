@@ -647,9 +647,9 @@ def _force_value(t: Term, fuel: int, pre_erase: bool = True) -> Term:
 
 
 @nesting_guard
-def observe_nat(t: Term, fuel: int = DEFAULT_FUEL, pre_erase: bool = True) -> int:
-    """Evaluate a closed term of type Nat and decode the numeral."""
-    v = _force_value(t, fuel, pre_erase)
+def observe_nat(t: Term, fuel: int = DEFAULT_FUEL) -> int:
+    """Erase a closed term of type Nat, evaluate it and decode the numeral."""
+    v = _force_value(t, fuel)
     n = numeral_value(v)
     if n is None:
         raise StuckError(f"value is not a numeral: {pretty(v)}")

@@ -8,6 +8,7 @@ import pytest
 
 import glam
 from glam import bde as bdemod
+from glam import cli, errors
 from glam.cli import main, run_repl
 from glam.prelude import PRELUDE_PATH
 
@@ -525,7 +526,11 @@ _REPL_ERRORS = [
     (":take 1 succ ()", "Stuck: stuck term: succ of a non-numeral"),
     (":take 1 abort ()", "Stuck: stuck term: abort"),
     (":take 1 (\\x:Nat. x) <*> next 0", "Stuck: stuck term: <*> of a non-next value"),
-    (":den 2 boxp (inl[Nat+Nat] 0)", "TypeMismatch: boxp must produce a sum of # types (at 1:1)"),
+    (":den 2 (boxp (inl[Nat+Nat] 0) : Nat)",
+     "TypeMismatch: boxp must produce a sum of # types (at 1:2)"),
+    # well typed, but neither Nat nor a stream: refused as glam denote refuses it
+    (":den 2 boxp (inl[Nat+Nat] 0)",
+     "Error: denote handles Nat and stream definitions, not #Nat + #Nat"),
     (":t prev{x<-0, x<-1}. x", "ParseError: duplicate variable x in substitution (at 1:12)"),
     (":t prev{x<-0;}. x", "ParseError: expected ',' or '}' in substitution (at 1:10)"),
     (":t inl[] 0", "ParseError: expected a type, found ']' (at 1:5)"),
@@ -544,3 +549,99 @@ def test_repl_eof_exits():
     out = io.StringIO()
     run_repl(io.StringIO(""), out)
     assert "glam repl" in out.getvalue()
+
+
+# The code of every error class, as the CLI and the REPL print it.
+ERROR_CODES = {
+    "GlamError": "Error",
+    "ParseError": "ParseError",
+    "TypingError": "TypingError",
+    "UnboundTypeVar": "UnboundTypeVar",
+    "UnguardedMu": "UnguardedMu",
+    "OpenBox": "OpenBox",
+    "TypeMismatch": "TypeMismatch",
+    "NonConstantSubstType": "NonConstantSubstType",
+    "EscapingVariable": "EscapingVariable",
+    "CannotSynthesize": "CannotSynthesize",
+    "UnboundVariable": "UnboundVariable",
+    "MachineError": "MachineError",
+    "FuelExhaustedError": "FuelExhausted",
+    "StuckError": "Stuck",
+    "NestingTooDeep": "NestingTooDeep",
+    "DenotError": "DenotError",
+    "IndexZero": "IndexZero",
+    "DepthExceeded": "DepthExceeded",
+    "BdeError": "BdeError",
+    "UnknownSymbol": "UnknownSymbol",
+    "BadVariable": "BadVariable",
+    "ForwardReference": "ForwardReference",
+}
+
+
+def test_every_error_class_keeps_its_code():
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.GlamError)]
+    assert {c.__name__: c.code for c in classes} == ERROR_CODES
+    assert issubclass(cli.CliError, errors.GlamError)
+    assert cli.CliError("x").render() == "error: x"
+
+
+def test_closed_output_pipe_ends_quietly():
+    src = str(Path(glam.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "glam.cli", "take", str(PRELUDE_PATH), "zeros", "200000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(10) == b"0 0 0 0 0 "
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
+@pytest.mark.parametrize("repl, cmd", [(":take 2", "take"), (":den 2", "denote")])
+@pytest.mark.parametrize(
+    "ty, src",
+    [("Nat", "succ 0"), ("Nat -> Nat", "\\x:Nat. x"), ("Nat * |>(mu a. Nat * |>a)", "unfold zeros")],
+)
+def test_repl_reads_a_typed_term_as_the_subcommands_do(capsys, tmp_path, repl, cmd, ty, src):
+    # the same check and the same line, refusal or value, as take and denote
+    path = tmp_path / "d.gl"
+    path.write_text(f"def d : {ty} = {src};")
+    main([cmd, str(path), "d", "2"])
+    out, err = capsys.readouterr()
+    assert _repl_replies([f"{repl} {src}"]) == ["glam> " + (out + err).rstrip("\n")]
+
+
+def test_repl_takes_a_term_infer_refuses_as_a_stream():
+    assert _repl_replies([":take 3 (\\x. x) zeros"]) == ["glam> 0 0 0"]
+
+
+# Counts, stages and fuel are ASCII digits, perhaps between blanks, as
+# program numerals are; each reader refuses any other text in its words.
+@pytest.mark.parametrize("reader", ["argument", "GLAM_FUEL", "repl"])
+@pytest.mark.parametrize(
+    "text, ok",
+    [("3", True), (" 3 ", True), ("03", True), ("1_0", False), ("\u0663", False),
+     ("+3", False), ("-3", False), ("3.0", False), ("\u00b2", False), ("three", False)],
+)
+def test_counts_stages_and_fuel_are_ascii_digits(capsys, monkeypatch, reader, text, ok):
+    if reader == "argument":
+        code = main(["take", str(PRELUDE_PATH), "zeros", text])
+        out, err = capsys.readouterr()
+        if not ok:
+            why = "must be a non-negative integer, not" if text == "-3" else "invalid int value:"
+            assert (code, out) == (2, "")
+            assert f"error: argument count: {why} {text!r}\n" in err
+        else:
+            assert (code, out, err) == (0, "0 0 0\n", "")
+    elif reader == "GLAM_FUEL":
+        # paperfolds needs more than 3 steps, so a fuel of 3 runs out at 3
+        monkeypatch.setenv("GLAM_FUEL", text)
+        assert main(["run", str(PRELUDE_PATH), "paperfolds"]) == 1
+        assert capsys.readouterr().err == (
+            "error: fuel exhausted after 3 steps\n" if ok
+            else f"Error: GLAM_FUEL must be a non-negative integer, not {text!r}\n"
+        )
+    else:
+        reply = "0 0 0" if ok else "error: usage: :take n e"
+        assert _repl_replies([f":take {text} zeros"]) == [f"glam> {reply}"]
