@@ -206,6 +206,7 @@ def cmd_repl(args) -> int:
 # REPL
 
 
+@nesting_guard
 def run_repl(infile, outfile, fuel: int | None = None) -> None:
     """Read commands from the text stream infile.  When it has a binary
     buffer, as sys.stdin does, lines are read from that and decoded

@@ -99,6 +99,7 @@ from .syntax import (
     Lam,
     LaterApp,
     Next,
+    Num,
     Pair,
     Prev,
     Prim,
@@ -111,7 +112,6 @@ from .syntax import (
     Unfold,
     UnitVal,
     Var,
-    Zero,
 )
 from . import typecheck
 
@@ -531,7 +531,7 @@ def _prim(t, i, env):
 
 _RULES = {
     Var: lambda t, i, env: env[t.name],
-    Zero: lambda t, i, env: 0,
+    Num: lambda t, i, env: t.n,
     Succ: _succ,
     UnitVal: lambda t, i, env: SUNIT,
     Pair: lambda t, i, env: SPair(_den(t.left, i, env), _den(t.right, i, env)),

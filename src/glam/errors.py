@@ -12,16 +12,24 @@ at the recursive entry points: the parsers (``frontend.parse_term``,
 ``parse_type`` and ``parse_program``, ``bde.parse_bde``), the type
 checker (``elaborate``, ``infer``, ``check``), ``syntax.erase`` and
 ``alpha_eq``, ``machine.eval_term`` and ``observe_nat``,
-``denot.den_term`` and ``den_take``, and the CLI's subcommands.
+``denot.den_term`` and ``den_take``, ``frontend.pretty``, the CLI's
+subcommands and the REPL.  Inside a guarded call a number of any size
+also reads and prints.
 """
 
 import functools
 import sys
 
 # The recursion limit inside a guarded call: substitution and the term
-# traversals recurse over deep spines (numerals, long reduction
-# results), for which CPython's default limit is far too small.
+# traversals recurse over deep spines (long chains of succ, prev or
+# application, deeply nested input), for which CPython's default limit
+# is far too small.
 NESTING_LIMIT = 100_000
+
+# Python's limit on the digits of an int read from or written as text
+# (0 lifts it); releases before 3.10.7 have no such limit.
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda n: None)
 
 
 class GlamError(Exception):
@@ -68,20 +76,23 @@ class NestingTooDeep(GlamError):
 
 def nesting_guard(fn):
     """Make an entry point run with the recursion limit raised to
-    ``NESTING_LIMIT``, restored on exit, and raise NestingTooDeep, not
-    RecursionError, on input nested deeper than that.  Under an
-    enclosing guard, the limit is already raised and stays as it is."""
+    ``NESTING_LIMIT`` and the int digit limit lifted, both restored on
+    exit, and raise NestingTooDeep, not RecursionError, on input nested
+    deeper than that.  Under an enclosing guard, the limits are already
+    set and stay as they are."""
 
     @functools.wraps(fn)
     def guarded(*args, **kwargs):
-        old = sys.getrecursionlimit()
+        old, digits = sys.getrecursionlimit(), _digit_limit()
         sys.setrecursionlimit(max(old, NESTING_LIMIT))
+        _set_digit_limit(0)
         try:
             return fn(*args, **kwargs)
         except RecursionError:
             raise NestingTooDeep("input nested too deeply to process") from None
         finally:
             sys.setrecursionlimit(old)
+            _set_digit_limit(digits)
 
     return guarded
 

@@ -60,6 +60,7 @@ from .syntax import (
     Lam,
     LaterApp,
     Next,
+    Num,
     Pair,
     Prev,
     Prim,
@@ -72,7 +73,6 @@ from .syntax import (
     Unfold,
     UnitVal,
     Var,
-    Zero,
     erase,
     numeral,
     numeral_value,
@@ -87,17 +87,12 @@ DEFAULT_FUEL = 10**6
 
 
 _VALUE_CLASSES = frozenset(
-    (Zero, UnitVal, Pair, In1, In2, Lam, Fold, Next, BoxI)
+    (Num, UnitVal, Pair, In1, In2, Lam, Fold, Next, BoxI)
 )
 
 
 def is_value(t: Term) -> bool:
-    c = t.__class__
-    if c in _VALUE_CLASSES:
-        return True
-    if c is Succ:
-        return numeral_value(t) is not None
-    return False
+    return t.__class__ in _VALUE_CLASSES or t._nv is not None  # succ 2 is a numeral
 
 
 class EvalOutcome:
@@ -498,8 +493,8 @@ def _need(t: Term, env: dict, fuel: int, memo: dict, stack=None):
             v = _Con(Pair, _delay(t.left, env), _delay(t.right, env))
         elif c is Fold or c is Next or c is In1 or c is In2:
             v = _Con(c, _delay(t.body, env))
-        elif c is Zero:
-            v = 0
+        elif c is Num:
+            v = t.n
         elif c is UnitVal:
             v = _UNIT
         elif c is BoxI:

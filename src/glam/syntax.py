@@ -6,6 +6,11 @@ name), so two runs over the same input produce identical trees.
 Equality of trees is object identity; the meaningful comparisons are
 ``alpha_eq`` and ``type_alpha_eq``.
 
+A natural number is one ``Num`` node holding its value, one node per
+value (``numeral``), however large.  ``succ t`` is a ``Succ`` node, and
+a ``Succ`` over a numeral is a numeral too, so every runner reads
+``succ^n zero`` as the number n.
+
 The three binder-with-substitution forms ``prev``/``box``/``boxp``
 carry an explicit substitution: an ordered list of (variable, term)
 pairs.  The listed variables are bound in the body and nowhere else;
@@ -21,7 +26,7 @@ line the class gets its constructor and ``__match_args__``, and
 its entry.  A term's constructor also stores two facts about the node
 that every runner reads: ``_fv``, its free variables, built from its
 subterms' by the kinds of its fields, and ``_nv``, its value if it is a
-numeral (``Zero`` and ``Succ`` declare ``numeral=``), else None.  The
+numeral (``Num`` and ``Succ`` declare ``numeral=``), else None.  The
 structural term traversals (``subst``, ``erase``, ``alpha_eq``) loop
 over ``SHAPES``; ``free_type_vars``, ``type_subst``, ``type_alpha_eq``
 and the type predicates and metrics of glam.typecheck loop over
@@ -66,8 +71,8 @@ def _term_facts(shape: dict, numeral) -> list:
     """The lines that a term constructor runs after storing the fields
     in shape: they store ``_fv``, the node's free variables, joined from
     its subterms' by the kinds of their fields, and, when the class
-    declares numeral=k, ``_nv``: k plus the numeral value of its one
-    subterm, if it has one."""
+    declares numeral=k, ``_nv``: k, an expression over the fields, plus
+    the numeral value of its one subterm, if it has one."""
     lines = ["_fv = _EMPTY"]
     scope = None  # a binder field, or SUBST, scoping the next subterm
     for f, kind in shape.items():
@@ -178,7 +183,7 @@ class Term:
 
 
 class Var(Term, name=VAR): ...
-class Zero(Term, numeral=0): ...
+class Num(Term, n=DATA, numeral="n"): ...  # the numeral n, succ^n zero as one node
 class Succ(Term, body=TERM, numeral=1): ...  # the numeral one above body, if body is one
 class UnitVal(Term): ...
 class Pair(Term, left=TERM, right=TERM): ...
@@ -228,21 +233,18 @@ def _shape(t) -> tuple:
 # Numerals
 
 
-_NUMERALS: list = [Zero()]
+_NUMERALS: dict = {}
 
 
 def numeral(n: int) -> Term:
-    """succ^n zero, as one chain shared by every caller.
+    """succ^n zero, as one ``Num`` node shared by every caller.
 
-    numeral(n) is numeral(n + 1).body, so the nodes' memos are filled
-    in once and seen by every later use, the machine's delta rule
-    included.  The cache is process-wide and never shrinks: it holds
-    one node per natural up to the largest numeral built so far.
+    Every call with n returns the same node, so its memos are filled in
+    once and seen by every later use, the machine's delta rule
+    included.  The table is process-wide and never shrinks: it holds
+    one node per value built so far, whatever its size.
     """
-    chain = _NUMERALS
-    while len(chain) <= n:
-        chain.append(Succ(chain[-1]))
-    return chain[n]
+    return _NUMERALS.get(n) or _NUMERALS.setdefault(n, Num(n))
 
 
 def numeral_value(t: Term) -> Optional[int]:
@@ -393,7 +395,7 @@ def alpha_eq(t: Term, u: Term) -> bool:
 
     Explicit-substitution binders are renamable; annotations are
     compared with type_alpha_eq, and a missing annotation only equals
-    a missing annotation.
+    a missing annotation.  Numerals are equal by value: succ 2 is 3.
     """
     return _aeq(t, u, {}, {}, [0])
 
@@ -408,8 +410,8 @@ def _aeq(t, u, envt, envu, ctr) -> bool:
     # the same node under the same renaming, or a closed node, equals itself
     if t is u and (envt == envu or not t._fv):
         return True
-    if t.__class__ is not u.__class__:
-        return False
+    if t.__class__ is not u.__class__:  # numerals are equal by value: succ 2 is 3
+        return t._nv is not None and t._nv == u._nv
     if t.__class__ is Var:
         return envt.get(t.name, t.name) == envu.get(u.name, u.name)
     scope = None  # the next subterm's binders in t and in u, and the environments they extend

@@ -62,6 +62,7 @@ from .syntax import (
     LaterApp,
     Mu,
     Next,
+    Num,
     Pair,
     Prev,
     Prim,
@@ -77,7 +78,6 @@ from .syntax import (
     Unfold,
     UnitVal,
     Var,
-    Zero,
     _type_shape,
     free_type_vars,
     free_vars,
@@ -264,7 +264,7 @@ def _elab1(ctx, t, want):
             if ty is None:
                 raise UnboundVariable(f"unbound variable {x!r}", t.loc)
             return _done(t, ty, want, t.loc)
-        case Zero() | Succ() if t._nv is not None:  # a numeral: nothing to fill in
+        case Num() | Succ() if t._nv is not None:  # a numeral: nothing to fill in
             return _done(t, NAT, want, t.loc)
         case Succ(b):
             b2, _ = _elab(ctx, b, NAT)
@@ -565,7 +565,7 @@ def _syn_box_sum(ctx, t):
 
 _SYN = {
     Var: _syn_var,
-    Zero: lambda ctx, t: NAT,
+    Num: lambda ctx, t: NAT,
     Succ: _syn_succ,
     UnitVal: lambda ctx, t: UNIT,
     Pair: lambda ctx, t: Prod(_syn(ctx, t.left), _syn(ctx, t.right)),

@@ -1,5 +1,6 @@
 import itertools
 import re
+from functools import lru_cache
 from math import comb
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from glam.denot import den_take
 from glam.machine import erase, take_stream
 from glam.syntax import App, Next, Prim, Var, alpha_eq, numeral
 from glam.typecheck import check
+from test_need import reference_take
 
 SRC = """
 bde zeros(0) { head = 0; tail = zeros; }
@@ -499,6 +501,7 @@ def test_rutten_nats_over_ones():
 # and the oracle
 
 
+@lru_cache(maxsize=None)
 def _heads(k):
     """Head expressions over numerals, x1..xk, + and *."""
     leaves = st.sampled_from(["0", "1", "2", "3"] + [f"x{i}" for i in range(1, k + 1)])
@@ -510,14 +513,16 @@ def _heads(k):
     )
 
 
+@lru_cache(maxsize=None)
 def _tails(name, k, earlier, self_calls=True):
     """Tail expressions of the k-ary equation name, given the (name,
     arity) of the equations before it: the x, y and z variables, calls
     of name and of earlier equations, and + or * once plus or times is
     defined.  A call of name takes no call of name in its arguments:
     f(f(z1)) makes element n a nest of 2^n calls, and with * in the
-    head a number of 2^2^n digits."""
-    calls = earlier + ([(name, k)] if self_calls or k == 0 else [])
+    head a number of 2^2^n digits.  earlier is a tuple, so that each
+    strategy is built once."""
+    calls = list(earlier) + ([(name, k)] if self_calls or k == 0 else [])
     leaves = st.sampled_from([f"{v}{i}" for v in "xyz" for i in range(1, k + 1)]
                              + [f for f, a in calls if a == 0])
     ops = [op for op, f in (("+", "plus"), ("*", "times")) if (f, 2) in earlier]
@@ -534,14 +539,14 @@ def _tails(name, k, earlier, self_calls=True):
 
 @st.composite
 def _systems(draw):
-    """A .bde file of 1-3 equations of arity 0-2, and the (name, arity)
+    """A .bde file of 1-4 equations of arity 0-2, and the (name, arity)
     of each equation."""
     eqs, lines = [], []
-    for p in range(draw(st.integers(1, 3))):
+    for p in range(draw(st.integers(1, 4))):
         k = draw(st.integers(0, 2))
         fresh = [f for f in ("plus", "times") if k == 2 and (f, 2) not in eqs]
         name = draw(st.sampled_from(fresh + [f"e{p}"]))
-        head, tail = draw(_heads(k)), draw(_tails(name, k, eqs))
+        head, tail = draw(_heads(k)), draw(_tails(name, k, tuple(eqs)))
         lines.append(f"bde {name}({k}) {{ head = {head}; tail = {tail}; }}")
         eqs.append((name, k))
     return "\n".join(lines) + "\n", eqs
@@ -549,7 +554,10 @@ def _systems(draw):
 
 def _run_system(text, every_tuple=True):
     """Compile, check and run every equation of the file, on each tuple
-    of argument streams (or on toggles only), against the oracle."""
+    of argument streams (or on toggles only): the need-machine, the
+    plain oracle and the denotation at stage 6 against the oracle, and
+    the reference machine on the first four elements of the last
+    equation on toggles."""
     defs = parse_bde(text)
     for d in defs:
         out = compile_bde(defs, d.name)
@@ -558,7 +566,14 @@ def _run_system(text, every_tuple=True):
         tuples = itertools.product(ARGS, repeat=d.arity) if every_tuple else [("toggle",) * d.arity]
         for args in tuples:
             want = oracle_eval(defs, d.name, _hosts(args), 8)
-            assert take_stream(_applied(defs, d.name, args), 8) == want, (text, d.name, args)
+            t = _applied(defs, d.name, args)
+            assert take_stream(t, 8) == want, (text, d.name, args)
+            assert _plain_oracle(defs, d.name, _hosts(args), 8) == want, (text, d.name, args)
+            assert den_take(t, 6) == want[:6], (text, d.name, args)
+    last = defs[-1]
+    toggles = ("toggle",) * last.arity
+    want = oracle_eval(defs, last.name, _hosts(toggles), 4)
+    assert reference_take(_applied(defs, last.name, toggles), 4)[0] == want, text
 
 
 def _broken(draw, text, eqs):

@@ -55,32 +55,34 @@ def test_import_loads_no_record_generator():
 
 
 def test_glam_leaves_the_recursion_limit_alone():
-    # the limit is raised only for the duration of a guarded call,
-    # whether it returns or raises
+    # the recursion limit is raised, and the int digit limit lifted, only
+    # for the duration of a guarded call, whether it returns or raises
     out = _run_python(
         "import sys\n"
-        "start = sys.getrecursionlimit()\n"
+        "def limits():\n"
+        "    return (sys.getrecursionlimit(), sys.get_int_max_str_digits())\n"
+        "start = limits()\n"
         "import glam\n"
         "from glam import denot, frontend, machine, typecheck\n"
         "from glam.errors import GlamError\n"
         "from glam.syntax import NAT, Lam, Var, numeral\n"
-        "seen = [sys.getrecursionlimit()]\n"
+        "seen = [limits()]\n"
         "for call in (lambda: typecheck.infer({}, numeral(3)),\n"
         "             lambda: typecheck.infer({}, Lam('x', None, Var('x'))),\n"
         "             lambda: denot.den_nat(numeral(3), 2),\n"
         "             lambda: denot.den_nat(numeral(3), 0),\n"
         "             lambda: machine.eval_term(numeral(3)),\n"
         "             lambda: machine.observe_nat(Lam('x', None, Var('x'))),\n"
-        "             lambda: frontend.parse_term('(' * 30_000 + '0' + ')' * 30_000)):\n"
+        "             lambda: frontend.parse_term('(' * 30_000 + '0' + ')' * 30_000),\n"
+        "             lambda: frontend.pretty(frontend.parse_term('7' * 5000))):\n"
         "    try:\n"
         "        call()\n"
         "    except GlamError:\n"
         "        pass\n"
-        "    seen.append(sys.getrecursionlimit())\n"
-        "print(start, seen)\n"
+        "    seen.append(limits())\n"
+        "print(seen == [start] * 9, start, seen)\n"
     )
-    start, seen = out.split(" ", 1)
-    assert seen.strip() == "[" + ", ".join([start] * 8) + "]"
+    assert out.startswith("True "), out
 
 
 def test_deep_nesting_is_one_line_error(capsys, tmp_path):
@@ -100,6 +102,60 @@ def test_large_numeral_checks_and_runs(capsys, tmp_path):
     # a numeral denotes its value at once, as it elaborates and runs
     assert main(["denote", str(path), "big"]) == 0
     assert capsys.readouterr().out == "150000\n"
+
+
+def _glam(*args):
+    """A glam command in a fresh interpreter, cut after 10 s."""
+    src = str(Path(glam.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "glam.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=10)
+
+
+def test_numerals_of_any_size_answer_at_once(tmp_path):
+    # a numeral is one node, so neither its size nor a product's makes
+    # a chain of nodes to build, check or print
+    path = str(tmp_path / "big.gl")
+    Path(path).write_text("def b : Nat = 99999999999;\ndef m : Nat = mulN 2000 2000;\n")
+    for args, out in [
+        (["check", path], "b : Nat\nm : Nat\n"),
+        (["run", path, "b"], "99999999999\n"),
+        (["denote", path, "b"], "99999999999\n"),
+        (["run", path, "m"], "4000000\n"),
+    ]:
+        proc = _glam(*args)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, ""), args
+
+
+# over Python's default limit of 4 300 digits for an int read from or
+# written as text
+_HUGE = "7" * 5000
+
+
+def test_numeral_over_the_int_digit_limit_checks_runs_and_denotes(capsys, tmp_path):
+    path = tmp_path / "huge.gl"
+    path.write_text(f"def h : Nat = {_HUGE};")
+    assert main(["check", str(path)]) == 0
+    assert main(["run", str(path), "h"]) == 0
+    assert main(["denote", str(path), "h"]) == 0
+    assert capsys.readouterr() == (f"h : Nat\n{_HUGE}\n{_HUGE}\n", "")
+
+
+def test_repl_types_a_numeral_over_the_int_digit_limit():
+    replies = _repl_replies([f":t {_HUGE}", ":t 3", _HUGE])
+    assert replies == ["glam> Nat", "glam> Nat", f"glam> {_HUGE}"]
+
+
+def test_take_and_denote_print_elements_over_the_int_digit_limit(capsys, tmp_path):
+    path = tmp_path / "squares.gl"
+    path.write_text("def sq : mu a. Nat * |>a = iterate' (\\x. mulN x x) 2;")
+    # 2^2^15 has 9 865 digits: writing them needs the limit lifted, as
+    # glam's guard lifts it
+    want = errors.nesting_guard(lambda: [str(2 ** 2 ** k) for k in range(16)])()
+    assert len(want[-1]) == 9865
+    for cmd in ("take", "denote"):
+        assert main([cmd, str(path), "sq", "16"]) == 0
+        assert capsys.readouterr() == (" ".join(want) + "\n", ""), cmd
 
 
 def test_non_ascii_digit_is_one_line_parse_error(capsys, tmp_path):

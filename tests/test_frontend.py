@@ -26,6 +26,7 @@ from glam.syntax import (
     Prev,
     Prim,
     Prod,
+    Succ,
     Sum,
     TVar,
     Unfold,
@@ -171,6 +172,17 @@ def test_parse_unfold_fold():
 
 def test_parse_numeral_sugar():
     assert alpha_eq(parse_term("2"), numeral(2))
+
+
+def test_succ_of_a_numeral_is_the_next_numeral():
+    # a literal is one node and succ 2 a node over it: alpha_eq compares
+    # numerals by value, and the printer writes succ 2 as 3
+    assert alpha_eq(parse_term("succ 2"), parse_term("3"))
+    assert alpha_eq(parse_term("3"), parse_term("succ (succ 1)"))
+    assert not alpha_eq(parse_term("succ 2"), parse_term("2"))
+    assert not alpha_eq(parse_term("succ x"), parse_term("3"))
+    for t in (Succ(numeral(2)), Succ(Succ(numeral(10**30))), Next(Succ(numeral(0)))):
+        assert alpha_eq(parse_term(pretty(t)), t)
 
 
 def test_parse_prev_iota_sugar():

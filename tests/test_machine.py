@@ -35,7 +35,6 @@ from glam.syntax import (
     Sum,
     UnitVal,
     Var,
-    Zero,
     alpha_eq,
     numeral,
 )
@@ -54,7 +53,7 @@ def _t(src):
 
 
 def test_step_unfold_fold():
-    body = Pair(Zero(), UnitVal())
+    body = Pair(numeral(0), UnitVal())
     assert step(erase(_t("unfold (fold[mu a. Nat * |>a] (0, next zeros))"))) is not None
     from glam.syntax import Unfold
 
@@ -74,19 +73,19 @@ def test_step_prev_applies_substitution_first():
 
 
 def test_step_later_app():
-    t = LaterApp(Next(Lam("x", None, Var("x"))), Next(Zero()))
+    t = LaterApp(Next(Lam("x", None, Var("x"))), Next(numeral(0)))
     out = step(t)
-    assert alpha_eq(out, Next(App(Lam("x", None, Var("x")), Zero())))
+    assert alpha_eq(out, Next(App(Lam("x", None, Var("x")), numeral(0))))
 
 
 def test_step_boxsum_in():
-    t = BoxSum((), In1(None, Zero()))
+    t = BoxSum((), In1(None, numeral(0)))
     out = step(t)
-    assert alpha_eq(out, In1(None, BoxI((), Zero())))
+    assert alpha_eq(out, In1(None, BoxI((), numeral(0))))
 
 
 def test_step_boxsum_annotation_mapped():
-    t = BoxSum((), In1(Sum(NAT, NAT), Zero()))
+    t = BoxSum((), In1(Sum(NAT, NAT), numeral(0)))
     out = step(t)
     assert out.annot is not None and isinstance(out.annot.left, Box)
 
@@ -97,7 +96,7 @@ def test_step_delta():
 
 
 def test_step_none_on_values():
-    for v in (numeral(4), UnitVal(), Lam("x", None, Var("x")), Next(Zero())):
+    for v in (numeral(4), UnitVal(), Lam("x", None, Var("x")), Next(numeral(0))):
         assert step(v) is None and is_value(v)
 
 

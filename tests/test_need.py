@@ -30,7 +30,6 @@ from glam.syntax import (
     Unfold,
     UnitVal,
     Var,
-    Zero,
     numeral,
     numeral_value,
 )
@@ -167,10 +166,10 @@ def test_take_stream_charges_a_substitution_as_a_step():
         ("numeral", numeral(3)),
         ("unit", UnitVal()),
         ("lambda", Lam("x", None, Var("x"))),
-        ("pair", Pair(Zero(), Zero())),
+        ("pair", Pair(numeral(0), numeral(0))),
         ("free variable", Var("s")),
         ("open prev body", App(Lam("x", None, Prev((), Next(Var("x")))), corpus.term("zeros"))),
-        ("non-numeral head", Fold(None, Pair(UnitVal(), Next(Zero())))),
+        ("non-numeral head", Fold(None, Pair(UnitVal(), Next(numeral(0))))),
         ("open prev body in a later head", corpus.term(_LATER_PREV)),
     ],
 )

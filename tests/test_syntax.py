@@ -37,6 +37,7 @@ from glam.syntax import (
     LaterApp,
     Mu,
     Next,
+    Num,
     Pair,
     Prev,
     Prim,
@@ -52,7 +53,6 @@ from glam.syntax import (
     Unfold,
     UnitVal,
     Var,
-    Zero,
     alpha_eq,
     erase,
     free_type_vars,
@@ -69,19 +69,19 @@ from glam.syntax import (
 
 
 def test_subst_variable():
-    u = Pair(Zero(), UnitVal())
+    u = Pair(numeral(0), UnitVal())
     assert subst(Var("x"), [("x", u)]) is u
 
 
 def test_subst_shadowed_by_lambda():
     t = Lam("x", None, Var("x"))
-    assert alpha_eq(subst(t, [("y", Zero())]), t)
+    assert alpha_eq(subst(t, [("y", numeral(0))]), t)
 
 
 def test_subst_lands_in_explicit_substitution_only():
     # prev{y<-x}. next y  with x := u  becomes  prev{y<-u}. next y
     t = Prev((("y", Var("x")),), Next(Var("y")))
-    u = Succ(Zero())
+    u = Succ(numeral(0))
     out = subst(t, [("x", u)])
     assert alpha_eq(out, Prev((("y", u),), Next(Var("y"))))
     # the body is untouched
@@ -121,8 +121,9 @@ def test_free_vars_case_binders():
 
 # _reference_free_vars recomputes free variables by a recursive walk over
 # SHAPES, and _reference_numeral_value decodes a numeral by walking its
-# spine.  Neither reads or writes anything on the nodes, so together they
-# check the _fv and _nv that the constructors store.
+# spine of succ down to a numeral node.  Neither reads or writes
+# anything on the nodes, so together they check the _fv and _nv that the
+# constructors store.
 
 
 def _reference_free_vars(t, memo) -> frozenset:
@@ -157,7 +158,7 @@ def _reference_numeral_value(t):
     n = 0
     while isinstance(t, Succ):
         t, n = t.body, n + 1
-    return n if isinstance(t, Zero) else None
+    return n + t.n if isinstance(t, Num) else None
 
 
 def _check_facts(terms, seen=None, memo=None) -> int:
@@ -261,7 +262,10 @@ def test_type_alpha_eq_box_of_mu():
 def test_numerals():
     assert numeral_value(numeral(7)) == 7
     assert numeral(7) is numeral(7)
-    assert numeral(7).body is numeral(6)
+    # one node per value, with no subterm
+    assert numeral(10**30) is numeral(10**30)
+    assert numeral(7).n == 7
+    assert all(kind is not TERM for _, kind in SHAPES[numeral(7).__class__])
     assert numeral_value(Succ(Var("x"))) is None
     assert numeral_value(UnitVal()) is None
 
@@ -299,7 +303,7 @@ def _sample(c):
         return [NAT if f in TYPE_SHAPES[c] else "a" for f in c.__match_args__]
     made = {
         TERM: Var("y"), BINDER: "x", SUBST: [["x", Var("z")]], TYPE: NAT,
-        VAR: "v", DATA: "addN",
+        VAR: "v", DATA: 5 if c is Num else "addN",
     }
     return [made[kind] for _, kind in SHAPES[c]]
 
@@ -391,7 +395,7 @@ def _sig(s):
     )
 
 
-_term_base = st.one_of(st.builds(Var, _names), st.just(Zero()), st.just(UnitVal()))
+_term_base = st.one_of(st.builds(Var, _names), st.just(numeral(0)), st.just(UnitVal()))
 
 
 def _extend(s):
@@ -559,12 +563,14 @@ def _ref_annot_eq(a, b):
 def _ref_aeq(t, u, envt, envu, ctr):
     if t is u and (envt == envu or not free_vars(t)):
         return True
+    if _reference_numeral_value(t) is not None:
+        return _reference_numeral_value(t) == _reference_numeral_value(u)
     if t.__class__ is not u.__class__:
         return False
     match t:
         case Var(x):
             return envt.get(x, x) == envu.get(u.name, u.name)
-        case Zero() | UnitVal():
+        case UnitVal():
             return True
         case Succ(b) | Proj1(b) | Proj2(b) | Unfold(b) | Next(b) | Unbox(b):
             return _ref_aeq(b, u.body, envt, envu, ctr)

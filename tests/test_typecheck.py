@@ -347,10 +347,10 @@ def test_closed_subterm_memo_is_per_expected_type():
 
 
 def test_infer_caches_types_on_closed_nodes_only():
-    from glam.syntax import App, Lam, Succ, Var, Zero
+    from glam.syntax import App, Lam, Succ, Var, numeral
 
     body = Succ(Var("x"))
-    t = App(Lam("x", NAT, body), Succ(Zero()))
+    t = App(Lam("x", NAT, body), Succ(numeral(0)))
     assert infer({}, t) is NAT
     assert t._ty is NAT and t.fun._ty.cod is NAT and t.arg._ty is NAT
     assert "_ty" not in body.__dict__  # open: its type depends on the context
@@ -363,7 +363,7 @@ def test_infer_caches_types_on_closed_nodes_only():
 def test_deep_terms_raise_nesting_too_deep():
     from glam.denot import den_nat
     from glam.machine import Value, eval_term, observe_nat
-    from glam.syntax import Succ, Zero, alpha_eq, erase, free_vars, numeral_value
+    from glam.syntax import Succ, alpha_eq, erase, free_vars, numeral, numeral_value
 
     def chain():
         # a numeral elaborates, erases and runs at once, so the spine
@@ -393,7 +393,7 @@ def test_deep_terms_raise_nesting_too_deep():
     with pytest.raises(NestingTooDeep):
         alpha_eq(deep, chain())
 
-    big = Zero()
+    big = numeral(0)
     for _ in range(150_000):
         big = Succ(big)
     assert numeral_value(big) == 150_000
