@@ -27,6 +27,7 @@ class CliError(GlamError, code="error"):
     command, or an evaluation that ends without a value."""
 
 
+@nesting_guard  # a count of any length reads, as a program numeral does
 def _natural(text: str) -> int | None:
     """A count, stage or fuel read from text, or None: only ASCII
     digits, perhaps between blanks, as in a program numeral."""

@@ -64,6 +64,7 @@ from .errors import ParseError, nesting_guard
 from .syntax import (
     NAT,
     PRIMITIVES,
+    SHAPES,
     TYPE_SHAPES,
     UNIT,
     VOID,
@@ -255,9 +256,10 @@ class Program:
 #
 # The App node it returns carries the mark ``_fix``, set on the node
 # after it is built and invisible to printing, alpha_eq and the
-# machines.  It has two readers: ``typecheck._elab1`` copies it onto
-# the node it rebuilds, and ``denot`` denotes a marked node by
-# iterating the fixed point up the stages instead of unrolling theta.
+# machines.  The node is closed and fully annotated, so elaboration
+# keeps it as it is.  Its one reader is ``denot``, which denotes a
+# marked node by iterating the fixed point up the stages instead of
+# unrolling theta.
 
 
 def fix_term(ty: Type) -> Term:
@@ -593,10 +595,12 @@ _BINDER_KW = {c: k for k, c in _BINDER_CTORS.items()}
 
 
 def _pp(t: Term, want: int) -> str:
+    cls = t.__class__
+    if cls not in SHAPES:
+        raise TypeError(f"not a term: {t!r}")
     n = numeral_value(t)
     if n is not None:
         return str(n)
-    cls = t.__class__
     if cls in _PREFIX_KW:
         return _parens(f"{_PREFIX_KW[cls]} {_pp(t.body, 3)}", 3, want)
     if cls in _ANNOT_KW:
@@ -634,8 +638,6 @@ def _pp(t: Term, want: int) -> str:
             # level 1, not 2: a Prim heading an application must be
             # parenthesized or the saturation would absorb the arguments
             return _parens(f"{name} {_pp(a, 3)} {_pp(b, 3)}", 1, want)
-        case _:
-            raise TypeError(f"not a term: {t!r}")
 
 
 # Type levels: 0 arrow/mu, 1 sum, 2 product, 3 unary, 4 atom.  The

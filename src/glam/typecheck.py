@@ -1,24 +1,20 @@
 """Type well-formedness, constancy, guardedness, metrics, and the
 bidirectional checker.
 
-``elaborate`` is the surface checker: it checks a term against an
-expected type (or synthesizes one) and returns the term with every
-binder and constructor annotation filled in.  On an elaborated term
-every node synthesizes, which is what the subject-reduction and
-denotational machinery rely on; ``check`` is ``elaborate`` against a
-given type.
+``elaborate`` is the checker: it checks a term against an expected
+type (or synthesizes one) and returns the term with every binder and
+constructor annotation filled in.  On an elaborated term every node
+synthesizes, which is what the subject-reduction and denotational
+machinery rely on.  ``check`` is ``elaborate`` against a given type,
+and ``infer`` is its synthesis mode.
 
-``infer`` types a term by synthesis alone (``_syn``), with the rules of
-``elaborate``'s synthesis mode, and builds no term nodes.  Both passes
-type the unary eliminators (fst, snd, unfold, unbox) by one rule that
-reads ``_ELIM``, and the annotated introductions (abort, inl, inr,
-fold) by one that reads ``_INTRO``.  The type of a closed node is
-cached on it as ``_ty``, so consecutive reducts, which share almost all
-of their closed subtrees, are typed in time proportional to their new
-nodes.  Where synthesis alone does not settle the question (a missing
-annotation, an ascription, any mismatch or ill-formed annotation)
-``_syn`` gives up and ``infer`` returns what ``elaborate`` says, so
-every error comes from ``elaborate``.
+Each term class has one rule in ``_RULES``.  The unary eliminators
+(fst, snd, unfold, unbox) share one rule that reads ``_ELIM``, and the
+annotated introductions (abort, inl, inr, fold) one that reads
+``_INTRO``.  A node that needs nothing filled in elaborates to itself,
+and a closed node records its synthesis, so consecutive reducts, which
+share almost all of their closed subtrees, are typed in time
+proportional to their new nodes (see ``_elab``).
 
 A typing context is an ordered mapping from term variables to closed
 well-formed types.
@@ -80,7 +76,6 @@ from .syntax import (
     Var,
     _type_shape,
     free_type_vars,
-    free_vars,
     type_alpha_eq,
     type_subst,
 )
@@ -205,11 +200,8 @@ def elaborate(ctx, t: Term, want: Type | None = None):
 
 @nesting_guard
 def infer(ctx, t: Term) -> Type:
-    """The type of t, by synthesis; see the module docstring."""
-    try:
-        return _syn(ctx, t)
-    except (_Fallback, TypingError):
-        return elaborate(ctx, t)[1]
+    """The type of t: ``elaborate``'s synthesis mode."""
+    return _elab(dict(ctx), t, None)[1]
 
 
 @nesting_guard
@@ -217,205 +209,265 @@ def check(ctx, t: Term, a: Type) -> None:
     elaborate(ctx, t, a)
 
 
-def _done(t2, ty, want, loc):
-    if want is not None and not type_alpha_eq(ty, want):
-        raise TypeMismatch(
-            f"has type {pretty_type(ty)} but {pretty_type(want)} expected", loc
-        )
-    return t2, ty
+_UNTYPED = object()  # a closed node's _ty before its first synthesis
 
 
 def _elab(ctx, t, want):
-    """_elab1, memoized on closed nodes.
+    """Elaborate t by its class's rule, recording a closed node's synthesis.
 
-    A closed term elaborates the same way in every context, so the
-    result is cached on the (immutable, shared) node per expected type
-    object; the node's ``_fv``, stored when it was built, tells whether
-    it is closed.  Consecutive reducts share almost all of their closed
-    subtrees, which is what makes typing a whole reduction sequence
-    cheap.  Errors are not cached.
+    A closed term synthesizes the same way in every context, so the
+    outcome is recorded on the (immutable, shared) node as ``_ty``: the
+    elaborated node (None when it is t itself) and its type, or None
+    when t does not synthesize.  The node's ``_fv``, stored when it was
+    built, tells whether it is closed.  A check of a closed node against
+    a type alpha-equal to its recorded one is answered from the record,
+    which a synthesizing term allows; the checking rule runs only where
+    synthesis fails or the types differ, so errors come from the rule
+    that the unrecorded checker would run.  Consecutive reducts share
+    almost all of their closed subtrees, which is what makes typing a
+    whole reduction sequence cheap.
 
     An error without a location takes this node's as it passes up, so
     an error at a node without one (a shared numeral, an ill-formed
     annotation) is reported at the nearest enclosing node that has one.
     """
     try:
+        rule = _RULES[t.__class__]
+    except KeyError:
+        raise TypeError(f"not a term: {t!r}") from None
+    try:
         if t._fv:
-            return _elab1(ctx, t, want)
-        try:
-            memo = t._elab_memo
-        except AttributeError:
-            memo = {}
-            object.__setattr__(t, "_elab_memo", memo)
-        out = memo.get(want)
-        if out is None:
-            out = memo[want] = _elab1(ctx, t, want)
-        return out
+            return rule(ctx, t, want)
+        syn = getattr(t, "_ty", _UNTYPED)
+        if syn is _UNTYPED:
+            try:
+                t2, ty = rule(ctx, t, None)
+            except TypingError:
+                object.__setattr__(t, "_ty", None)
+                if want is None:
+                    raise
+                syn = None
+            else:
+                syn = (None if t2 is t else t2, ty)
+                object.__setattr__(t, "_ty", syn)
+        if syn is not None:
+            t2, ty = syn
+            if want is None or ty is want or type_alpha_eq(ty, want):
+                return t if t2 is None else t2, ty
+        return rule(ctx, t, want)
     except TypingError as e:
         if e.loc is None:
             e.loc = t.loc
         raise
 
 
-def _elab1(ctx, t, want):
-    match t:
-        case Var(x):
-            ty = ctx.get(x)
-            if ty is None:
-                raise UnboundVariable(f"unbound variable {x!r}", t.loc)
-            return _done(t, ty, want, t.loc)
-        case Num() | Succ() if t._nv is not None:  # a numeral: nothing to fill in
-            return _done(t, NAT, want, t.loc)
-        case Succ(b):
-            b2, _ = _elab(ctx, b, NAT)
-            return _done(Succ(b2, loc=t.loc), NAT, want, t.loc)
-        case UnitVal():
-            return _done(t, UNIT, want, t.loc)
-        case Pair(l, r):
-            if want is None:
-                l2, tl = _elab(ctx, l, None)
-                r2, tr = _elab(ctx, r, None)
-                return Pair(l2, r2, loc=t.loc), Prod(tl, tr)
-            if not isinstance(want, Prod):
-                raise TypeMismatch("pair where a non-product is expected", t.loc)
-            l2, _ = _elab(ctx, l, want.left)
-            r2, _ = _elab(ctx, r, want.right)
-            return Pair(l2, r2, loc=t.loc), want
-        case Proj1(b) | Proj2(b) | Unfold(b) | Unbox(b):
-            former, wrong, part = _ELIM[t.__class__]
-            b2, tb = _elab(ctx, b, None)
-            if not isinstance(tb, former):
-                raise TypeMismatch(wrong, t.loc)
-            return _done(t.__class__(b2, loc=t.loc), part(tb), want, t.loc)
-        case Abort(a0, b) | In1(a0, b) | In2(a0, b) | Fold(a0, b):
-            what, former, wrong, part = _INTRO[t.__class__]
-            if a0 is not None and want is not None and not type_alpha_eq(a0, want):
-                raise TypeMismatch(
-                    f"{what} annotated {pretty_type(a0)} but {pretty_type(want)} expected",
-                    t.loc,
-                )
-            target = want if a0 is None else a0
-            if target is None:
-                raise CannotSynthesize(f"{what} needs a type annotation", t.loc)
-            if not isinstance(target, former):
-                raise TypeMismatch(wrong, t.loc)
-            if a0 is not None:
-                wf_type((), a0)
-            b2, _ = _elab(ctx, b, part(target))
-            return t.__class__(target, b2, loc=t.loc), target
-        case Case(s, x1, a1, x2, a2):
-            s2, ts = _elab(ctx, s, None)
-            if not isinstance(ts, Sum):
-                raise TypeMismatch("case scrutinee is not a sum", t.loc)
-            ctx1 = dict(ctx)
-            ctx1[x1] = ts.left
-            ctx2 = dict(ctx)
-            ctx2[x2] = ts.right
-            a1n, c1 = _elab(ctx1, a1, want)
-            a2n, c2 = _elab(ctx2, a2, want)
-            if want is None and not type_alpha_eq(c1, c2):
-                raise TypeMismatch("case arms have different types", t.loc)
-            return Case(s2, x1, a1n, x2, a2n, loc=t.loc), (want or c1)
-        case Lam(x, a0, b):
-            if want is None:
-                if a0 is None:
-                    raise CannotSynthesize(
-                        "cannot synthesize the type of an unannotated lambda", t.loc
-                    )
-                wf_type((), a0)
-                ctx2 = dict(ctx)
-                ctx2[x] = a0
-                b2, tb = _elab(ctx2, b, None)
-                return Lam(x, a0, b2, loc=t.loc), Arrow(a0, tb)
-            if not isinstance(want, Arrow):
-                raise TypeMismatch("lambda where a non-function is expected", t.loc)
-            if a0 is not None and not type_alpha_eq(a0, want.dom):
-                raise TypeMismatch("lambda annotation disagrees with expected domain", t.loc)
-            ctx2 = dict(ctx)
-            ctx2[x] = want.dom
-            b2, _ = _elab(ctx2, b, want.cod)
-            return Lam(x, want.dom, b2, loc=t.loc), want
-        case App(f, a):
-            f2, tf = _elab(ctx, f, None)
-            if not isinstance(tf, Arrow):
-                raise TypeMismatch("application of a non-function", t.loc)
-            a2, _ = _elab(ctx, a, tf.dom)
-            t2 = App(f2, a2, loc=t.loc)
-            if getattr(t, "_fix", False):  # frontend.fix_term's mark
-                object.__setattr__(t2, "_fix", True)
-            return _done(t2, tf.cod, want, t.loc)
-        case Next(b):
-            if want is None:
-                b2, tb = _elab(ctx, b, None)
-                return Next(b2, loc=t.loc), Later(tb)
-            if not isinstance(want, Later):
-                raise TypeMismatch("next where a non-later type is expected", t.loc)
-            b2, _ = _elab(ctx, b, want.body)
-            return Next(b2, loc=t.loc), want
-        case LaterApp(f, a):
-            f2, tf = _elab(ctx, f, None)
-            if not (isinstance(tf, Later) and isinstance(tf.body, Arrow)):
-                raise TypeMismatch("<*> needs a later function on the left", t.loc)
-            a2, ta = _elab(ctx, a, None)
-            if not isinstance(ta, Later):
-                raise TypeMismatch("<*> needs a later value on the right", t.loc)
-            if not type_alpha_eq(ta.body, tf.body.dom):
-                raise TypeMismatch("<*> argument type disagrees with the function", t.loc)
-            return _done(
-                LaterApp(f2, a2, loc=t.loc), Later(tf.body.cod), want, t.loc
-            )
-        case Prev(sig, b):
-            sig2, ctx2 = _elab_subst(ctx, t, sig, b)
-            if want is not None:
-                b2, _ = _elab(ctx2, b, Later(want))
-                return Prev(sig2, b2, loc=t.loc), want
-            b2, tb = _elab(ctx2, b, None)
-            if not isinstance(tb, Later):
-                raise TypeMismatch("prev body must have a later type", t.loc)
-            return Prev(sig2, b2, loc=t.loc), tb.body
-        case BoxI(sig, b):
-            sig2, ctx2 = _elab_subst(ctx, t, sig, b)
-            if want is not None:
-                if not isinstance(want, Box):
-                    raise TypeMismatch("box where a non-# type is expected", t.loc)
-                b2, _ = _elab(ctx2, b, want.body)
-                return BoxI(sig2, b2, loc=t.loc), want
-            b2, tb = _elab(ctx2, b, None)
-            return BoxI(sig2, b2, loc=t.loc), Box(tb)
-        case BoxSum(sig, b):
-            sig2, ctx2 = _elab_subst(ctx, t, sig, b)
-            if want is not None:
-                if not (
-                    isinstance(want, Sum)
-                    and isinstance(want.left, Box)
-                    and isinstance(want.right, Box)
-                ):
-                    raise TypeMismatch("boxp must produce a sum of # types", t.loc)
-                b2, _ = _elab(ctx2, b, Sum(want.left.body, want.right.body))
-                return BoxSum(sig2, b2, loc=t.loc), want
-            b2, tb = _elab(ctx2, b, None)
-            if not isinstance(tb, Sum):
-                raise TypeMismatch("boxp body must have a sum type", t.loc)
-            return BoxSum(sig2, b2, loc=t.loc), Sum(Box(tb.left), Box(tb.right))
-        case Prim(name, a, b):
-            a2, _ = _elab(ctx, a, NAT)
-            b2, _ = _elab(ctx, b, NAT)
-            return _done(Prim(name, a2, b2, loc=t.loc), NAT, want, t.loc)
-        case Ascribe(b, a0):
-            wf_type((), a0)
-            b2, _ = _elab(ctx, b, a0)
-            return _done(b2, a0, want, t.loc)
-        case _:
-            raise TypeError(f"not a term: {t!r}")
+def _done(t2, ty, want, loc):
+    if want is not None and ty is not want and not type_alpha_eq(ty, want):
+        raise TypeMismatch(
+            f"has type {pretty_type(ty)} but {pretty_type(want)} expected", loc
+        )
+    return t2, ty
 
 
-def _elab_subst(ctx, t, sig, body):
-    """Elaborate an explicit substitution: synthesized, constant types;
-    the body may use only the listed variables."""
+# ---------------------------------------------------------------------------
+# The rules, one per term class: rule(ctx, t, want) checks t against
+# want, or synthesizes its type when want is None, and returns (the
+# elaborated node, its type).  The elaborated node is t itself when
+# nothing in t was filled in, so a fully annotated term allocates no
+# node.  Subterms go through _elab.
+
+
+def _var(ctx, t, want):
+    ty = ctx.get(t.name)
+    if ty is None:
+        raise UnboundVariable(f"unbound variable {t.name!r}", t.loc)
+    return _done(t, ty, want, t.loc)
+
+
+def _succ(ctx, t, want):
+    if t._nv is None:  # a numeral is a Nat as it stands
+        b2, _ = _elab(ctx, t.body, NAT)
+        if b2 is not t.body:
+            t = Succ(b2, loc=t.loc)
+    return _done(t, NAT, want, t.loc)
+
+
+def _pair(ctx, t, want):
+    if want is None:
+        l2, tl = _elab(ctx, t.left, None)
+        r2, tr = _elab(ctx, t.right, None)
+        want = Prod(tl, tr)
+    elif not isinstance(want, Prod):
+        raise TypeMismatch("pair where a non-product is expected", t.loc)
+    else:
+        l2, _ = _elab(ctx, t.left, want.left)
+        r2, _ = _elab(ctx, t.right, want.right)
+    if l2 is not t.left or r2 is not t.right:
+        t = Pair(l2, r2, loc=t.loc)
+    return t, want
+
+
+def _elim(ctx, t, want):
+    former, wrong, part = _ELIM[t.__class__]
+    b2, tb = _elab(ctx, t.body, None)
+    if not isinstance(tb, former):
+        raise TypeMismatch(wrong, t.loc)
+    if b2 is not t.body:
+        t = t.__class__(b2, loc=t.loc)
+    return _done(t, part(tb), want, t.loc)
+
+
+def _intro(ctx, t, want):
+    what, former, wrong, part = _INTRO[t.__class__]
+    a0 = t.annot
+    if a0 is not None and want is not None and not type_alpha_eq(a0, want):
+        raise TypeMismatch(
+            f"{what} annotated {pretty_type(a0)} but {pretty_type(want)} expected", t.loc
+        )
+    target = want if a0 is None else a0
+    if target is None:
+        raise CannotSynthesize(f"{what} needs a type annotation", t.loc)
+    if not isinstance(target, former):
+        raise TypeMismatch(wrong, t.loc)
+    if a0 is not None:
+        wf_type((), a0)
+    b2, _ = _elab(ctx, t.body, part(target))
+    if target is not a0 or b2 is not t.body:
+        t = t.__class__(target, b2, loc=t.loc)
+    return t, target
+
+
+def _case(ctx, t, want):
+    s2, ts = _elab(ctx, t.scrut, None)
+    if not isinstance(ts, Sum):
+        raise TypeMismatch("case scrutinee is not a sum", t.loc)
+    a1, c1 = _elab({**ctx, t.var1: ts.left}, t.arm1, want)
+    a2, c2 = _elab({**ctx, t.var2: ts.right}, t.arm2, want)
+    if want is None and c1 is not c2 and not type_alpha_eq(c1, c2):
+        raise TypeMismatch("case arms have different types", t.loc)
+    if s2 is not t.scrut or a1 is not t.arm1 or a2 is not t.arm2:
+        t = Case(s2, t.var1, a1, t.var2, a2, loc=t.loc)
+    return t, c1 if want is None else want
+
+
+def _lam(ctx, t, want):
+    x, a0 = t.var, t.annot
+    if want is None:
+        if a0 is None:
+            raise CannotSynthesize("cannot synthesize the type of an unannotated lambda", t.loc)
+        wf_type((), a0)
+        b2, tb = _elab({**ctx, x: a0}, t.body, None)
+        return (t if b2 is t.body else Lam(x, a0, b2, loc=t.loc)), Arrow(a0, tb)
+    if not isinstance(want, Arrow):
+        raise TypeMismatch("lambda where a non-function is expected", t.loc)
+    if a0 is not None and not type_alpha_eq(a0, want.dom):
+        raise TypeMismatch("lambda annotation disagrees with expected domain", t.loc)
+    b2, _ = _elab({**ctx, x: want.dom}, t.body, want.cod)
+    if a0 is None or b2 is not t.body:
+        t = Lam(x, want.dom if a0 is None else a0, b2, loc=t.loc)
+    return t, want
+
+
+def _app(ctx, t, want):
+    f2, tf = _elab(ctx, t.fun, None)
+    if not isinstance(tf, Arrow):
+        raise TypeMismatch("application of a non-function", t.loc)
+    a2, _ = _elab(ctx, t.arg, tf.dom)
+    if f2 is not t.fun or a2 is not t.arg:
+        t = App(f2, a2, loc=t.loc)
+    return _done(t, tf.cod, want, t.loc)
+
+
+def _next(ctx, t, want):
+    if want is None:
+        b2, tb = _elab(ctx, t.body, None)
+        want = Later(tb)
+    elif not isinstance(want, Later):
+        raise TypeMismatch("next where a non-later type is expected", t.loc)
+    else:
+        b2, _ = _elab(ctx, t.body, want.body)
+    return (t if b2 is t.body else Next(b2, loc=t.loc)), want
+
+
+def _later_app(ctx, t, want):
+    f2, tf = _elab(ctx, t.fun, None)
+    if not (isinstance(tf, Later) and isinstance(tf.body, Arrow)):
+        raise TypeMismatch("<*> needs a later function on the left", t.loc)
+    a2, ta = _elab(ctx, t.arg, None)
+    if not isinstance(ta, Later):
+        raise TypeMismatch("<*> needs a later value on the right", t.loc)
+    if ta.body is not tf.body.dom and not type_alpha_eq(ta.body, tf.body.dom):
+        raise TypeMismatch("<*> argument type disagrees with the function", t.loc)
+    if f2 is not t.fun or a2 is not t.arg:
+        t = LaterApp(f2, a2, loc=t.loc)
+    return _done(t, Later(tf.body.cod), want, t.loc)
+
+
+def _prev(ctx, t, want):
+    sig2, ctx2 = _elab_subst(ctx, t)
+    if want is not None:
+        b2, _ = _elab(ctx2, t.body, Later(want))
+        return _rebind(t, sig2, b2), want
+    b2, tb = _elab(ctx2, t.body, None)
+    if not isinstance(tb, Later):
+        raise TypeMismatch("prev body must have a later type", t.loc)
+    return _rebind(t, sig2, b2), tb.body
+
+
+def _box(ctx, t, want):
+    sig2, ctx2 = _elab_subst(ctx, t)
+    if want is None:
+        b2, tb = _elab(ctx2, t.body, None)
+        return _rebind(t, sig2, b2), Box(tb)
+    if not isinstance(want, Box):
+        raise TypeMismatch("box where a non-# type is expected", t.loc)
+    b2, _ = _elab(ctx2, t.body, want.body)
+    return _rebind(t, sig2, b2), want
+
+
+def _box_sum(ctx, t, want):
+    sig2, ctx2 = _elab_subst(ctx, t)
+    if want is None:
+        b2, tb = _elab(ctx2, t.body, None)
+        if not isinstance(tb, Sum):
+            raise TypeMismatch("boxp body must have a sum type", t.loc)
+        return _rebind(t, sig2, b2), Sum(Box(tb.left), Box(tb.right))
+    if not (isinstance(want, Sum) and isinstance(want.left, Box) and isinstance(want.right, Box)):
+        raise TypeMismatch("boxp must produce a sum of # types", t.loc)
+    b2, _ = _elab(ctx2, t.body, Sum(want.left.body, want.right.body))
+    return _rebind(t, sig2, b2), want
+
+
+def _prim(ctx, t, want):
+    l2, _ = _elab(ctx, t.left, NAT)
+    r2, _ = _elab(ctx, t.right, NAT)
+    if l2 is not t.left or r2 is not t.right:
+        t = Prim(t.name, l2, r2, loc=t.loc)
+    return _done(t, NAT, want, t.loc)
+
+
+def _ascribe(ctx, t, want):
+    wf_type((), t.annot)
+    b2, _ = _elab(ctx, t.body, t.annot)
+    return _done(b2, t.annot, want, t.loc)
+
+
+def _rebind(t, sig2, b2):
+    """prev/box/boxp t itself, or a copy with substitution sig2 and body b2."""
+    if sig2 is t.subst and b2 is t.body:
+        return t
+    return t.__class__(sig2, b2, loc=t.loc)
+
+
+def _elab_subst(ctx, t):
+    """Elaborate the explicit substitution of prev/box/boxp t, returning
+    it (itself if nothing was filled in) and the context of t's body:
+    synthesized, constant types; the body may use only the listed
+    variables."""
     seen = set()
     sig2 = []
     ctx2 = {}
-    for x, u in sig:
+    for x, u in t.subst:
         if x in seen:
             raise TypingError(f"duplicate variable {x!r} in substitution", t.loc)
         seen.add(x)
@@ -427,159 +479,36 @@ def _elab_subst(ctx, t, sig, body):
             )
         sig2.append((x, u2))
         ctx2[x] = tu
-    escapees = free_vars(body) - seen
+    escapees = t.body._fv - seen
     if escapees:
         raise EscapingVariable(
             f"body uses variables outside its substitution list: "
             f"{', '.join(sorted(escapees))}",
             t.loc,
         )
+    if all(u2 is u for (_, u2), (_, u) in zip(sig2, t.subst)):
+        return t.subst, ctx2
     return tuple(sig2), ctx2
 
 
-# ---------------------------------------------------------------------------
-# Synthesis on elaborated terms (infer's fast path)
-
-
-class _Fallback(Exception):
-    """Synthesis alone cannot type this term; ask ``elaborate``."""
-
-
-def _syn(ctx, t):
-    """The type of t by synthesis, cached as ``_ty`` on closed nodes.
-
-    Raises _Fallback (or a wf_type error) where ``elaborate`` would
-    need its checking mode or would fail; nothing is cached then.
-    """
-    fv = t._fv
-    if not fv:
-        try:
-            return t._ty
-        except AttributeError:
-            pass
-    rule = _SYN.get(t.__class__)
-    if rule is None:
-        raise _Fallback
-    ty = rule(ctx, t)
-    if not fv:
-        object.__setattr__(t, "_ty", ty)
-    return ty
-
-
-def _same(a, b):
-    if a is not b and not type_alpha_eq(a, b):
-        raise _Fallback
-
-
-def _is(ty, cls):
-    if not isinstance(ty, cls):
-        raise _Fallback
-    return ty
-
-
-def _annot(t):
-    """The annotation of a lambda or inl/inr/fold/abort, well-formed."""
-    a = t.annot
-    if a is None:
-        raise _Fallback
-    wf_type((), a)
-    return a
-
-
-def _syn_var(ctx, t):
-    ty = ctx.get(t.name)
-    if ty is None:
-        raise _Fallback
-    return ty
-
-
-def _syn_succ(ctx, t):
-    if t._nv is None:  # a numeral is a Nat as it stands
-        _same(_syn(ctx, t.body), NAT)
-    return NAT
-
-
-def _syn_case(ctx, t):
-    ts = _is(_syn(ctx, t.scrut), Sum)
-    c1 = _syn({**ctx, t.var1: ts.left}, t.arm1)
-    _same(_syn({**ctx, t.var2: ts.right}, t.arm2), c1)
-    return c1
-
-
-def _syn_elim(ctx, t):
-    former, _, part = _ELIM[t.__class__]
-    return part(_is(_syn(ctx, t.body), former))
-
-
-def _syn_intro(ctx, t):
-    _, former, _, part = _INTRO[t.__class__]
-    a = _is(_annot(t), former)
-    _same(_syn(ctx, t.body), part(a))
-    return a
-
-
-def _syn_lam(ctx, t):
-    a = _annot(t)
-    return Arrow(a, _syn({**ctx, t.var: a}, t.body))
-
-
-def _syn_app(ctx, t):
-    tf = _is(_syn(ctx, t.fun), Arrow)
-    _same(_syn(ctx, t.arg), tf.dom)
-    return tf.cod
-
-
-def _syn_later_app(ctx, t):
-    tf = _is(_syn(ctx, t.fun), Later)
-    f = _is(tf.body, Arrow)
-    _same(_is(_syn(ctx, t.arg), Later).body, f.dom)
-    return Later(f.cod)
-
-
-def _syn_prim(ctx, t):
-    _same(_syn(ctx, t.left), NAT)
-    _same(_syn(ctx, t.right), NAT)
-    return NAT
-
-
-def _syn_body(ctx, t):
-    """The type of the body of prev/box/boxp, under its substitution.
-
-    The body sees only the listed variables, so an escaping variable is
-    unbound there and falls back like any other unbound variable.
-    """
-    ctx2 = {}
-    for x, u in t.subst:
-        if x in ctx2:
-            raise _Fallback
-        tu = ctx2[x] = _syn(ctx, u)
-        if not is_constant(tu):
-            raise _Fallback
-    return _syn(ctx2, t.body)
-
-
-def _syn_box_sum(ctx, t):
-    tb = _is(_syn_body(ctx, t), Sum)
-    return Sum(Box(tb.left), Box(tb.right))
-
-
-_SYN = {
-    Var: _syn_var,
-    Num: lambda ctx, t: NAT,
-    Succ: _syn_succ,
-    UnitVal: lambda ctx, t: UNIT,
-    Pair: lambda ctx, t: Prod(_syn(ctx, t.left), _syn(ctx, t.right)),
-    **dict.fromkeys(_ELIM, _syn_elim),
-    **dict.fromkeys(_INTRO, _syn_intro),
-    Case: _syn_case,
-    Lam: _syn_lam,
-    App: _syn_app,
-    Next: lambda ctx, t: Later(_syn(ctx, t.body)),
-    LaterApp: _syn_later_app,
-    Prev: lambda ctx, t: _is(_syn_body(ctx, t), Later).body,
-    BoxI: lambda ctx, t: Box(_syn_body(ctx, t)),
-    BoxSum: _syn_box_sum,
-    Prim: _syn_prim,
+_RULES = {
+    Var: _var,
+    Num: lambda ctx, t, want: _done(t, NAT, want, t.loc),
+    Succ: _succ,
+    UnitVal: lambda ctx, t, want: _done(t, UNIT, want, t.loc),
+    Pair: _pair,
+    **dict.fromkeys(_ELIM, _elim),
+    **dict.fromkeys(_INTRO, _intro),
+    Case: _case,
+    Lam: _lam,
+    App: _app,
+    Next: _next,
+    LaterApp: _later_app,
+    Prev: _prev,
+    BoxI: _box,
+    BoxSum: _box_sum,
+    Prim: _prim,
+    Ascribe: _ascribe,
 }
 
 

@@ -678,7 +678,9 @@ def test_repl_takes_a_term_infer_refuses_as_a_stream():
 @pytest.mark.parametrize(
     "text, ok",
     [("3", True), (" 3 ", True), ("03", True), ("1_0", False), ("\u0663", False),
-     ("+3", False), ("-3", False), ("3.0", False), ("\u00b2", False), ("three", False)],
+     ("+3", False), ("-3", False), ("3.0", False), ("\u00b2", False), ("three", False),
+     # past Python's default limit of 4 300 digits for an int read from text
+     pytest.param("0" * 4999 + "3", True, id="5000-digits")],
 )
 def test_counts_stages_and_fuel_are_ascii_digits(capsys, monkeypatch, reader, text, ok):
     if reader == "argument":

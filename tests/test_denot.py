@@ -558,7 +558,8 @@ def test_fix_mark_survives_elaborate_subst_and_reduction(monkeypatch):
     assert _marked_nodes(fx) == [fx]
     t, _ = elaborate({}, App(fx, phi))
     m = t.fun
-    assert _marked_nodes(t) == [m] and m is not fx
+    # fix[T] is closed and fully annotated: elaborate keeps the very node
+    assert _marked_nodes(t) == [m] and m is fx
     # a second elaboration of fx is answered by its closed-node memo
     assert elaborate({}, Pair(App(fx, phi), numeral(0)))[0].left.fun is m
     # subst shares closed nodes, the marked one included

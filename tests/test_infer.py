@@ -1,16 +1,22 @@
-"""``infer``'s synthesis path agrees with ``elaborate``, the reference
-checker it speeds up: the same type on every reduct of the corpus, and
-the same error wherever ``elaborate`` rejects."""
+"""The checker's closed-node record agrees with the rules it shortcuts.
+
+``infer`` is ``elaborate``'s synthesis mode.  A closed node records its
+synthesis, and a check against a type alpha-equal to the recorded one is
+answered from the record.  The reference here is the same rules run
+without the record (``_unrecorded``, patched in for the test only): the
+same type on every reduct of the corpus, and the same error, class,
+code, message and location, wherever the reference rejects."""
 
 from functools import lru_cache
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 import corpus
 from glam import machine as M
 from glam import typecheck as TC
-from glam.errors import GlamError
+from glam.errors import GlamError, TypingError
 from glam.frontend import parse_type
 from glam.syntax import (
     NAT,
@@ -33,15 +39,42 @@ from glam.syntax import (
 )
 
 
-def _outcome(ctx, t):
-    """What infer and elaborate make of t: for each, the type it returned
-    or the error it raised, as (class, code, message, location)."""
-    out = []
-    for f in (TC.infer, lambda ctx, t: TC.elaborate(ctx, t)[1]):
+def _unrecorded(cache):
+    """``typecheck._elab`` without the closed-node record: each node is
+    elaborated by its rule, in the mode asked for.  The outcome on a
+    closed node depends on the node and the expected type alone, so it
+    is kept in cache under both, which lets one cache serve a whole
+    trace; errors are not kept."""
+
+    def elab(ctx, t, want):
+        key = (t, want)
+        if not t._fv and key in cache:
+            return cache[key]
         try:
-            out.append(f(ctx, t))
-        except GlamError as e:
-            out.append((type(e), e.code, e.message, e.loc))
+            out = TC._RULES[t.__class__](ctx, t, want)
+        except TypingError as e:
+            if e.loc is None:
+                e.loc = t.loc
+            raise
+        if not t._fv:
+            cache[key] = out
+        return out
+
+    return elab
+
+
+def _outcome(ctx, t, cache=None):
+    """What infer makes of t, with the record and without it: for each,
+    the type it returned or the error it raised, as (class, code,
+    message, location)."""
+    out = []
+    for elab in (TC._elab, _unrecorded({} if cache is None else cache)):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(TC, "_elab", elab)
+            try:
+                out.append(TC.infer(ctx, t))
+            except GlamError as e:
+                out.append((type(e), e.code, e.message, e.loc))
     return out
 
 
@@ -51,24 +84,17 @@ def _agree(got, want) -> bool:
     return type_alpha_eq(got, want)
 
 
-def test_infer_matches_elaborate_on_every_corpus_reduct(monkeypatch):
-    elaborate = TC.elaborate
-    fallbacks = []
-
-    def counting(ctx, t, want=None):
-        fallbacks.append(t)
-        return elaborate(ctx, t, want)
-
-    monkeypatch.setattr(TC, "elaborate", counting)
+def test_infer_matches_elaborate_on_every_corpus_reduct():
     total = 0
     for name, t, ty in corpus.sr_corpus():
-        for u in M.trace(elaborate({}, t, ty)[0], 10**6, pre_erase=False):
-            got = TC.infer({}, u)
-            assert type_alpha_eq(got, elaborate({}, u)[1]), name
-            assert type_alpha_eq(got, ty), name
+        cache = {}
+        for u in M.trace(TC.elaborate({}, t, ty)[0], 10**6, pre_erase=False):
+            got, want = _outcome({}, u, cache)
+            assert type_alpha_eq(got, want) and type_alpha_eq(got, ty), name
+            # a reduct of an elaborated term needs nothing filled in
+            assert TC.elaborate({}, u)[0] is u, name
             total += 1
     assert total >= 10**4
-    assert fallbacks == []
 
 
 def test_infer_raises_what_elaborate_raises():

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 
 import corpus
-from glam import denot
+from glam import denot, typecheck
 from glam import machine as M
-from glam.frontend import pretty_type
+from glam.frontend import pretty, pretty_type
 from glam.syntax import (
     BINDER,
     DATA,
@@ -367,6 +367,17 @@ def test_a_non_term_or_non_type_is_named_in_the_error():
         M.take_stream(5, 1)
     with pytest.raises(TypeError, match="not a type: 5"):
         pretty_type(5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda x: typecheck.elaborate({}, x), lambda x: typecheck.infer({}, x), pretty],
+    ids=["elaborate", "infer", "pretty"],
+)
+def test_checker_and_printer_refuse_a_non_term_by_its_class(call):
+    # the rule is looked up before any node fact (_fv, _nv) is read
+    with pytest.raises(TypeError, match="^not a term: 5$"):
+        call(5)
 
 
 # ---------------------------------------------------------------------------

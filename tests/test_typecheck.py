@@ -16,7 +16,7 @@ from glam.errors import (
     UnboundVariable,
     UnguardedMu,
 )
-from glam.frontend import parse_program, parse_term, parse_type
+from glam.frontend import parse_program, parse_term, parse_type, pretty
 from glam.syntax import (
     CONAT,
     NAT,
@@ -202,6 +202,20 @@ def test_prev_any_context_with_empty_substitution():
 def test_boxsum_typing():
     t = _t("boxp (inl[Nat + Unit] 5)")
     assert type_alpha_eq(infer({}, t), Sum(Box(NAT), Box(UNIT)))
+    # an unannotated body does not synthesize: boxp's checking rule types it
+    t2, _ = elaborate({}, _t("boxp (inl 5)"), Sum(Box(NAT), Box(UNIT)))
+    assert type_alpha_eq(infer({}, t2), Sum(Box(NAT), Box(UNIT)))
+
+
+@pytest.mark.parametrize(
+    "src, out", [("succ (3 : Nat)", "4"), ("unbox (box{y <- (2 : Nat)}. y)", "unbox (box{y<-2}. y)")]
+)
+def test_elaboration_rebuilds_the_nodes_above_a_dropped_ascription(src, out):
+    t = _t(src)
+    t2, ty = elaborate({}, t)
+    assert ty is NAT and t2 is not t and pretty(t2) == out
+    # the result needs nothing filled in: it elaborates to itself
+    assert elaborate({}, t2)[0] is t2
 
 
 def test_later_app_mismatch():
@@ -337,7 +351,7 @@ def test_closed_subterm_memo_is_per_expected_type():
 
     ident = Lam("x", None, Var("x"))  # closed, checkable at many types
     nat_fn, unit_fn = Arrow(NAT, NAT), Arrow(UNIT, UNIT)
-    for _ in range(2):  # the second round is served from the memo
+    for _ in range(2):  # ident does not synthesize: each check runs the rule
         assert elaborate({}, ident, nat_fn)[0].annot is NAT
         assert elaborate({}, ident, unit_fn)[0].annot is UNIT
         with pytest.raises(TypeMismatch):
@@ -346,18 +360,32 @@ def test_closed_subterm_memo_is_per_expected_type():
             infer({}, ident)
 
 
-def test_infer_caches_types_on_closed_nodes_only():
+def test_infer_caches_types_on_closed_nodes_only(monkeypatch):
+    from glam import typecheck as TC
     from glam.syntax import App, Lam, Succ, Var, numeral
 
     body = Succ(Var("x"))
     t = App(Lam("x", NAT, body), Succ(numeral(0)))
-    assert infer({}, t) is NAT
-    assert t._ty is NAT and t.fun._ty.cod is NAT and t.arg._ty is NAT
-    assert "_ty" not in body.__dict__  # open: its type depends on the context
-    bad = App(Lam("x", NAT, body), UnitVal())
+    # nothing to fill in: elaborate returns the node itself, not a copy
+    t2, ty = elaborate({}, t)
+    assert t2 is t and ty is NAT
+    ran = []
+    for cls, rule in TC._RULES.items():
+        monkeypatch.setitem(
+            TC._RULES, cls, lambda ctx, u, want, rule=rule: ran.append(u) or rule(ctx, u, want)
+        )
+    # a typed closed node is answered from its record, in any context
+    # and against any expected type alpha-equal to its own
+    assert infer({"y": UNIT}, t) is NAT and check({}, t, NAT) is None and ran == []
+    # an open node is typed in its context, each time
+    assert infer({"x": NAT}, body) is NAT and ran == [body, body.body]
     with pytest.raises(TypeMismatch):
-        infer({}, bad)
-    assert "_ty" not in bad.__dict__
+        infer({"x": UNIT}, body)
+    bad = App(Lam("x", NAT, body), UnitVal())
+    for _ in range(2):  # an error is raised again, not recalled
+        with pytest.raises(TypeMismatch, match="has type Unit but Nat expected"):
+            infer({}, bad)
+    assert ran.count(bad) == 2
 
 
 def test_deep_terms_raise_nesting_too_deep():
