@@ -455,6 +455,23 @@ def test_bde_compile(capsys):
     assert "lifted : #(mu a. Nat * |>a) -> #(mu a. Nat * |>a) -> #(mu a. Nat * |>a)" in out
 
 
+# bde-compile's four lines for every equation of the two .bde programs,
+# each after a line "-- programs/<file> <name>"
+BDE_GOLDEN = Path(__file__).parent / "bde_compile.golden"
+
+
+def test_bde_compile_output_is_pinned(capsys):
+    lines = BDE_GOLDEN.read_text().splitlines(keepends=True)
+    seen = []
+    for at in range(0, len(lines), 5):
+        path, name = lines[at].split()[1:]
+        assert main(["bde-compile", str(PROGRAMS.parent / path), name]) == 0
+        assert capsys.readouterr().out == "".join(lines[at + 1:at + 5]), (path, name)
+        seen.append((path, name))
+    assert seen == [(f"programs/{f}", d.name) for f in ("streams.bde", "rutten.bde")
+                    for d in bdemod.parse_bde((PROGRAMS / f).read_text())]
+
+
 def test_bde_run_match(capsys):
     assert main(
         ["bde-run", str(PROGRAMS / "streams.bde"), "times", "toggle", "toggle", "--n", "6"]
