@@ -9,25 +9,24 @@ arguments, and the tail of the result as a stream expression over:
     f       the function being defined (recursive self-reference)
     e(...)  any stream function defined earlier in the same file
 
+Both parts of an equation are glam terms.  A head is built from
+numerals, x1..xk and the primitives addN/mulN, which + and * stand for;
+a tail from variables and <*>, where a call e(a, b) is (e <*> a) <*> b
+and + and * are calls of the earlier equations named plus/times.
+
 ``compile_bde`` turns a definition into a guarded stream function (a
 fixed point at (Strg)^k -> Strg, curried) together with its lifting to
-coinductive streams; ``oracle_eval`` runs the same definition as an
-ordinary corecursive computation on host-level streams, which is the
-independent reference the compiled terms are tested against.  The
-oracle memoizes, for one call, every stream it meets on a structural
-key: the equation name with each argument as (base stream, offset),
-or ("c", h) for the stream h, 0, 0, ...  So the convolution product
-costs O(n^2) elements, not O(2^n).
+coinductive streams, by substitution: one ``subst`` maps the head's x_i
+to the argument heads, and one maps the tail's names to later streams.
+``oracle_eval`` runs the same definition as an ordinary corecursive
+computation on host-level streams, memoized on structural keys (see
+``_Oracle``): the independent reference the compiled terms are tested
+against.
 
 File format (`.bde`)::
 
     bde zeros(0) { head = 0; tail = zeros; }
     bde plus(2)  { head = x1 + x2; tail = plus(z1, z2); }
-
-A head is a glam term: numerals, the variables x1..xk and the
-primitives addN/mulN, which + and * stand for.  In tails + and * stand
-for the earlier-defined stream equations named plus/times.  One
-operator grammar parses both.
 """
 
 from __future__ import annotations
@@ -69,25 +68,15 @@ from .syntax import (
 # ---------------------------------------------------------------------------
 # Abstract syntax
 #
-# A head is a term built from Var, numeral and Prim; a tail is a tree
-# of TailVar and TailCall.
-
-
-class TailVar(NamedTuple):
-    kind: str  # x | y | z
-    i: int  # 1-based
-
-
-class TailCall(NamedTuple):
-    name: str
-    args: tuple
+# A head is a term of Var, numeral and Prim nodes; a tail is a term of
+# Var and LaterApp nodes.
 
 
 class BdeDef(NamedTuple):
     name: str
     arity: int
     head: Term
-    tail: object
+    tail: Term
 
 
 _VAR_RE = re.compile(r"^([xyz])([1-9][0-9]*)$")
@@ -133,47 +122,41 @@ class _BdeParser(TokenCursor):
 
     def p_expr(self, head: bool, prec: int = 0):
         """Atoms joined by the operators of precedence prec and above,
-        to the left: a head's operators build a Prim, a tail's a
-        TailCall."""
-        left = self.p_hatom() if head else self.p_tatom()
+        to the left: a head's operators build a Prim, a tail's a call
+        of plus or times."""
+        left = self.p_atom(head)
         while (op := _OPS.get(self.kinds[self.i])) and op[0] >= prec:
             self.i += 1
-            right = self.p_expr(head, op[0] + 1)
-            left = Prim(op[1], left, right) if head else TailCall(op[2], (left, right))
+            arg = self.p_expr(head, op[0] + 1)
+            left = Prim(op[1], left, arg) if head else LaterApp(LaterApp(Var(op[2]), left), arg)
         return left
 
-    def p_hatom(self):
+    def p_atom(self, head: bool):
+        """A numeral (in a head), a name, a call e(a, b) read as
+        (e <*> a) <*> b (in a tail), or an expression in parentheses."""
         kind, value, line, col = self.advance()
-        if kind == "num":
+        if kind == "num" and head:
             return numeral(int(value))
         if kind == "ident":
-            return Var(value)
-        if kind == "(":
-            out = self.p_expr(True)
-            self.expect(")")
-            return out
-        raise ParseError(f"expected a head term, found {value or kind!r}", (line, col))
-
-    def p_tatom(self):
-        kind, value, line, col = self.advance()
-        if kind == "ident":
-            if not self.at("("):
-                m = _VAR_RE.match(value)
-                return TailVar(m.group(1), int(m.group(2))) if m else TailCall(value, ())
+            out = Var(value)
+            if head or not self.at("("):
+                return out
             self.i += 1
-            args = []
             if not self.at(")"):
-                args.append(self.p_expr(False))
+                out = LaterApp(out, self.p_expr(False))
                 while self.at(","):
                     self.i += 1
-                    args.append(self.p_expr(False))
-            self.expect(")")
-            return TailCall(value, tuple(args))
-        if kind == "(":
-            out = self.p_expr(False)
+                    out = LaterApp(out, self.p_expr(False))
+            elif _VAR_RE.match(value):  # y1() would be the term y1
+                raise BadVariable(f"variable {value!r} cannot be applied")
             self.expect(")")
             return out
-        raise ParseError(f"expected a tail term, found {value or kind!r}", (line, col))
+        if kind == "(":
+            out = self.p_expr(head)
+            self.expect(")")
+            return out
+        what = "head" if head else "tail"
+        raise ParseError(f"expected a {what} term, found {value or kind!r}", (line, col))
 
 
 @nesting_guard
@@ -205,43 +188,53 @@ def validate_bde(defs) -> None:
     for p, d in enumerate(defs):
         if _VAR_RE.match(d.name):
             raise BadVariable(f"equation name {d.name!r} is a reserved variable")
-        if d.arity < 0:
+        if d.arity < 0:  # only a hand-built BdeDef: the parser reads digits
             raise BdeError(f"negative arity in {d.name!r}")
         _check_head(d.head, d.arity)
         _check_tail(d.tail, d, p, positions, defs)
 
 
+def _spine(t):
+    """The name and the arguments of the call t: (e <*> a) <*> b is
+    e(a, b), and a variable or a bare name is a call of no arguments."""
+    args = []
+    while t.__class__ is LaterApp:
+        args.append(t.arg)
+        t = t.fun
+    args.reverse()
+    return t.name, args
+
+
 def _check_tail(t, d, pos, positions, defs):
-    if isinstance(t, TailVar):
-        if t.i > d.arity:
-            raise BadVariable(
-                f"tail of {d.name!r} uses {t.kind}{t.i} but arity is {d.arity}"
-            )
+    name, args = _spine(t)
+    m = _VAR_RE.match(name)
+    if m:
+        if args:
+            raise BadVariable(f"variable {name!r} cannot be applied")
+        if int(m.group(2)) > d.arity:
+            raise BadVariable(f"tail of {d.name!r} uses {name} but arity is {d.arity}")
         return
-    assert isinstance(t, TailCall)
-    if _VAR_RE.match(t.name):
-        raise BadVariable(f"variable {t.name!r} cannot be applied")
-    if _VARISH_RE.match(t.name) and t.name not in positions and t.name != d.name:
+    if _VARISH_RE.match(name) and name not in positions and name != d.name:
         raise BadVariable(
-            f"tail of {d.name!r} uses {t.name!r}; only x/y/z variables exist"
+            f"tail of {d.name!r} uses {name!r}; only x/y/z variables exist"
         )
-    if t.name == d.name:
+    if name == d.name:
         target_arity = d.arity
-    elif t.name in positions:
-        if positions[t.name] > pos:
+    elif name in positions:
+        if positions[name] > pos:
             raise ForwardReference(
-                f"tail of {d.name!r} uses {t.name!r}, defined later "
+                f"tail of {d.name!r} uses {name!r}, defined later "
                 f"(mutual recursion is not supported)"
             )
-        target_arity = defs[positions[t.name]].arity
+        target_arity = defs[positions[name]].arity
     else:
-        raise UnknownSymbol(f"tail of {d.name!r} uses undefined {t.name!r}")
-    if len(t.args) != target_arity:
+        raise UnknownSymbol(f"tail of {d.name!r} uses undefined {name!r}")
+    if len(args) != target_arity:
         raise BdeError(
-            f"{t.name!r} has arity {target_arity}, applied to {len(t.args)} "
+            f"{name!r} has arity {target_arity}, applied to {len(args)} "
             f"arguments in {d.name!r}"
         )
-    for a in t.args:
+    for a in args:
         _check_tail(a, d, pos, positions, defs)
 
 
@@ -268,38 +261,24 @@ def _prelude_pieces():
     return {n: p.lookup(n).resolved() for n in ("consg", "hdg", "tlg", "zeros")}
 
 
-def _tail_to_term(t, d: BdeDef, compiled: dict) -> Term:
-    """The later-stream term for a tail expression, over the variables
-    x1..xk, y1..yk : Strg, z1..zk : |>Strg and f : |>((Strg)^k -> Strg)."""
-    if isinstance(t, TailVar):
-        if t.kind == "z":
-            return Var(f"z{t.i}")
-        return Next(Var(f"{t.kind}{t.i}"))
-    if t.name == d.name:
-        out: Term = Var("f")
-    else:
-        out = Next(compiled[t.name].guarded)
-    for a in t.args:
-        out = LaterApp(out, _tail_to_term(a, d, compiled))
-    return out
-
-
 def _compile_one(d: BdeDef, compiled: dict, pieces: dict) -> CompiledBde:
     k = d.arity
     consg, hdg, tlg, zeros = (pieces[n] for n in ("consg", "hdg", "tlg", "zeros"))
     gty = _curried(STREAM_G, STREAM_G, k)
 
-    tail = _tail_to_term(d.tail, d, compiled)
-
+    # The tail becomes a later stream over y1..yk : Strg and
+    # f : |>((Strg)^k -> Strg), the equation's own name.
     ys = [Var(f"y{i}") for i in range(1, k + 1)]
     head_sub = {f"x{i}": App(hdg, y) for i, y in enumerate(ys, start=1)}
-    tail_sub = {}
+    tail_sub = {e: Next(c.guarded) for e, c in compiled.items()}
+    tail_sub[d.name] = Var("f")
     for i, y in enumerate(ys, start=1):
         # x_i embeds the i-th head as the stream  hd y_i :: next zeros
-        tail_sub[f"x{i}"] = App(App(consg, App(hdg, y)), Next(zeros))
+        tail_sub[f"x{i}"] = Next(App(App(consg, App(hdg, y)), Next(zeros)))
+        tail_sub[f"y{i}"] = Next(y)
         tail_sub[f"z{i}"] = App(tlg, y)
 
-    body = App(App(consg, subst(d.head, head_sub)), subst(tail, tail_sub))
+    body = App(App(consg, subst(d.head, head_sub)), subst(d.tail, tail_sub))
     phi = body
     for y in reversed(ys):
         phi = Lam(y.name, STREAM_G, phi)
@@ -409,10 +388,13 @@ class _Oracle:
     application; ``ends`` gives the key that follows the last one.
     Element i of an application is the head of the i-th application on
     its chain, so a walk down tails is a list index, not a recursion.
+    ``index`` gives the argument each tail variable x_i, y_i, z_i reads.
     """
 
     def __init__(self, byname: dict):
         self.byname = byname
+        self.index = {v: int(v[1:]) - 1 for d in byname.values()
+                      for v in d.tail._fv if v not in byname}
         self.heads = {}
         self.chains = {}
         self.ends = {}
@@ -469,15 +451,16 @@ class _Oracle:
             return h
 
     def _key(self, t, args):
-        """The key of the tail expression t over the argument keys."""
-        if isinstance(t, TailVar):
-            a = args[t.i - 1]
-            if t.kind == "y":
+        """The key of the tail term t over the argument keys."""
+        if t.__class__ is Var and t.name not in self.byname:
+            a = args[self.index[t.name]]
+            if t.name[0] == "y":
                 return a
-            if t.kind == "z":
+            if t.name[0] == "z":
                 return ("c", 0) if a[0] == "c" else (a[0], a[1] + 1)
             return ("c", self._element(a, 0, known=True))
-        return ((t.name, tuple(self._key(u, args) for u in t.args)), 0)
+        name, targs = _spine(t)
+        return ((name, tuple([self._key(u, args) for u in targs])), 0)
 
 
 def oracle_eval(defs, name: str, args, n: int):

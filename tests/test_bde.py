@@ -12,8 +12,6 @@ import corpus
 from glam.bde import (
     BdeDef,
     HostStream,
-    TailCall,
-    TailVar,
     _eval_head,
     compile_bde,
     host_nats,
@@ -33,7 +31,7 @@ from glam.errors import (
 )
 from glam.denot import den_take
 from glam.machine import erase, take_stream
-from glam.syntax import App, Next, Prim, Var, alpha_eq, numeral
+from glam.syntax import App, LaterApp, Next, Prim, Var, alpha_eq, numeral
 from glam.typecheck import check
 from test_need import reference_take
 
@@ -55,6 +53,17 @@ def _toggle():
     return corpus.term("toggle")
 
 
+def _call(name, *args):
+    """The tail term of the call name(args): (name <*> a) <*> b."""
+    t = Var(name)
+    for a in args:
+        t = LaterApp(t, a)
+    return t
+
+
+Z1, Z2, Y1, Y2, X1 = (Var(v) for v in ("z1", "z2", "y1", "y2", "x1"))
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -63,26 +72,20 @@ def test_parse_zeros_block():
     d = DEFS[0]
     assert d.name == "zeros" and d.arity == 0
     assert d.head._nv == 0
-    assert d.tail == TailCall("zeros", ())
+    assert alpha_eq(d.tail, Var("zeros"))
 
 
 def test_parse_plus_block():
     d = next(x for x in DEFS if x.name == "plus")
     assert d.arity == 2
     assert alpha_eq(d.head, Prim("addN", Var("x1"), Var("x2")))
-    assert d.tail == TailCall("plus", (TailVar("z", 1), TailVar("z", 2)))
+    assert alpha_eq(d.tail, _call("plus", Z1, Z2))
 
 
 def test_parse_times_block():
     d = next(x for x in DEFS if x.name == "times")
     assert alpha_eq(d.head, Prim("mulN", Var("x1"), Var("x2")))
-    assert d.tail == TailCall(
-        "plus",
-        (
-            TailCall("times", (TailVar("z", 1), TailVar("y", 2))),
-            TailCall("times", (TailVar("x", 1), TailVar("z", 2))),
-        ),
-    )
+    assert alpha_eq(d.tail, _call("plus", _call("times", Z1, Y2), _call("times", X1, Z2)))
 
 
 def _compiled_head(head):
@@ -108,15 +111,14 @@ def test_operator_precedence_and_associativity(src, same, other):
     assert alpha_eq(_compiled_head(src), _compiled_head(same))
     assert not alpha_eq(_compiled_head(src), _compiled_head(other))
     tail = src.replace("3", "y1")
-    assert _tail(tail) == _tail(same.replace("3", "y1"))
-    assert _tail(tail) != _tail(other.replace("3", "y1"))
+    assert alpha_eq(_tail(tail), _tail(same.replace("3", "y1")))
+    assert not alpha_eq(_tail(tail), _tail(other.replace("3", "y1")))
 
 
 def test_operators_stand_for_plus_and_times_in_tails():
-    z1, z2, y1 = TailVar("z", 1), TailVar("z", 2), TailVar("y", 1)
-    assert _tail("z1 + z2 * y1") == TailCall("plus", (z1, TailCall("times", (z2, y1))))
-    assert _tail("z1 + z2 + y1") == TailCall("plus", (TailCall("plus", (z1, z2)), y1))
-    assert _tail("zeros()") == TailCall("zeros", ())
+    assert alpha_eq(_tail("z1 + z2 * y1"), _call("plus", Z1, _call("times", Z2, Y1)))
+    assert alpha_eq(_tail("z1 + z2 + y1"), _call("plus", _call("plus", Z1, Z2), Y1))
+    assert alpha_eq(_tail("zeros()"), Var("zeros"))
 
 
 def test_parse_syntax_error():
@@ -174,8 +176,9 @@ _PLUS = "bde plus(2) { head = x1 + x2; tail = plus(z1, z2); }\n"
 
 
 # Each malformed input, its error's class, message and location, as
-# compile_bde(parse_bde(src), "f") reports it; the whole file is parsed
-# before anything is validated.
+# compile_bde(parse_bde(src), "f") reports it.  The whole file is parsed
+# before anything is validated, except that the parser refuses an x/y/z
+# variable applied to no arguments itself: y1() and y1 are the same term.
 BDE_ERRORS = [
     ("bde f(1) { head = y1; tail = z1; }",
      BadVariable, "head may only use x1..x1, found 'y1'", None),
@@ -187,6 +190,8 @@ BDE_ERRORS = [
      BadVariable, "tail of 'f' uses z3 but arity is 2", None),
     ("bde f(1) { head = x1; tail = y1(z1); }",
      BadVariable, "variable 'y1' cannot be applied", None),
+    ("bde f(1) { head = x1; tail = y1(); }",
+     BadVariable, "variable 'y1' cannot be applied", None),
     ("bde f(1) { head = x1; tail = g(z1); }\nbde g(1) { head = x1; tail = z1; }",
      ForwardReference,
      "tail of 'f' uses 'g', defined later (mutual recursion is not supported)", None),
@@ -194,6 +199,9 @@ BDE_ERRORS = [
      UnknownSymbol, "tail of 'f' uses undefined 'g'", None),
     (_PLUS + "bde f(1) { head = x1; tail = plus(z1); }",
      BdeError, "'plus' has arity 2, applied to 1 arguments in 'f'", None),
+    # the arguments of a call are checked too
+    (_PLUS + "bde f(2) { head = x1; tail = plus(z1, plus(y2, z3)); }",
+     BadVariable, "tail of 'f' uses z3 but arity is 2", None),
     (_PLUS + _PLUS + "bde f(0) { head = 0; tail = f; }",
      BdeError, "duplicate equation name", None),
     ("bde x1(0) { head = 0; tail = x1; }",
@@ -208,9 +216,17 @@ BDE_ERRORS = [
      ParseError, "expected a head term, found ';'", (1, 23)),
     ("bde f(1) { head = x1; tail = z1 * ; }",
      ParseError, "expected a tail term, found ';'", (1, 35)),
+    # a head makes no call, and a tail has no numeral
+    ("bde f(1) { head = f(x1); tail = z1; }",
+     ParseError, "expected ';', found '('", (1, 20)),
+    ("bde f(1) { head = x1; tail = 3; }",
+     ParseError, "expected a tail term, found '3'", (1, 30)),
     # a parse error late in the file wins over a bad head early on
     ("bde f(1) { head = y1; tail = z1; }\nbde g(0) { head = 0 tail = g; }",
      ParseError, "expected ';', found 'tail'", (2, 21)),
+    # and so does a variable applied to no arguments, refused while parsing
+    ("bde f(1) { head = y1; tail = z1; }\nbde g(0) { head = 0; tail = x1(); }",
+     BadVariable, "variable 'x1' cannot be applied", None),
 ]
 
 
@@ -223,10 +239,25 @@ def test_bde_error_class_message_and_location(src, cls, message, loc):
 
 def test_negative_arity_is_refused():
     # a parsed file cannot reach this check: its arity is a digit string
-    defs = [BdeDef("f", -1, numeral(0), TailCall("f", ()))]
+    defs = [BdeDef("f", -1, numeral(0), Var("f"))]
     with pytest.raises(BdeError) as e:
         validate_bde(defs)
     assert e.value.message == "negative arity in 'f'"
+
+
+def test_call_arguments_keep_their_order():
+    # first(s, t) is s, so a call that swapped its arguments would read t
+    defs = parse_bde("bde first(2) { head = x1; tail = first(z1, z2); }")
+    want = list(range(6))
+    assert oracle_eval(defs, "first", _hosts(("nats", "toggle")), 6) == want
+    assert take_stream(_applied(defs, "first", ("nats", "toggle")), 6) == want
+
+
+def test_hand_built_applied_variable_is_refused():
+    defs = [BdeDef("f", 1, Var("x1"), LaterApp(Var("y1"), Var("z1")))]
+    with pytest.raises(BadVariable) as e:
+        validate_bde(defs)
+    assert e.value.message == "variable 'y1' cannot be applied"
 
 
 def test_validate_plus_requires_earlier_definition():
@@ -381,10 +412,10 @@ def _plain_oracle(defs, name, args, n):
             if not cell:
                 env = {}
                 for i in range(d.arity):
-                    env[("x", i + 1)] = cons(heads[i], host_zeros())
-                    env[("y", i + 1)] = args[i]
-                    env[("z", i + 1)] = tail(args[i])
-                cell.append(expr(d.tail, env, d))
+                    env[f"x{i + 1}"] = cons(heads[i], host_zeros())
+                    env[f"y{i + 1}"] = args[i]
+                    env[f"z{i + 1}"] = tail(args[i])
+                cell.append(expr(d.tail, env))
             return cell[0]
 
         def elem(i):
@@ -394,11 +425,13 @@ def _plain_oracle(defs, name, args, n):
 
         return HostStream(elem)
 
-    def expr(t, env, d):
-        if isinstance(t, TailVar):
-            return env[(t.kind, t.i)]
-        target = d if t.name == d.name else byname[t.name]
-        return stream(target, [expr(a, env, d) for a in t.args])
+    def expr(t, env, args=()):
+        # a call e(a, b) is (e <*> a) <*> b: collect its arguments
+        if isinstance(t, LaterApp):
+            return expr(t.fun, env, (expr(t.arg, env),) + args)
+        if t.name in byname:
+            return stream(byname[t.name], list(args))
+        return env[t.name]
 
     s = stream(byname[name], list(args))
     return [s(i) for i in range(n)]
