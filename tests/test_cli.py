@@ -612,6 +612,16 @@ _REPL_ERRORS = [
 ]
 
 
+def test_repl_succ_of_a_numeral_keeps_its_location():
+    # succ 2 is the numeral 3, and a type error on it points at the succ
+    lines = [":t (\\x:Unit. x) (succ 2)", ":t (succ 2 : Unit)", "succ (succ 2)"]
+    assert _repl_replies(lines) == [
+        "glam> TypeMismatch: has type Nat but Unit expected (at 1:15)",
+        "glam> TypeMismatch: has type Nat but Unit expected (at 1:2)",
+        "glam> 4",
+    ]
+
+
 def test_repl_errors_of_ill_formed_input():
     lines = [line for line, _ in _REPL_ERRORS]
     want = [f"glam> {err}" for _, err in _REPL_ERRORS]

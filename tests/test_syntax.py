@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 import corpus
 from glam import denot, typecheck
 from glam import machine as M
-from glam.frontend import pretty, pretty_type
+from glam.frontend import parse_term, pretty, pretty_type
 from glam.syntax import (
     BINDER,
     DATA,
@@ -268,6 +268,12 @@ def test_numerals():
     assert all(kind is not TERM for _, kind in SHAPES[numeral(7).__class__])
     assert numeral_value(Succ(Var("x"))) is None
     assert numeral_value(UnitVal()) is None
+
+
+def test_succ_of_a_numeral_reads_as_the_next_numeral():
+    t = parse_term("succ 2")
+    assert pretty(t) == "3"
+    assert alpha_eq(t, numeral(3)) and alpha_eq(numeral(3), t)
 
 
 # ---------------------------------------------------------------------------
