@@ -358,7 +358,7 @@ def _eval_head(h, heads):
         return PRIMITIVES[h.name](_eval_head(h.left, heads), _eval_head(h.right, heads))
     if h.__class__ is Var:
         return heads[int(h.name[1:]) - 1]
-    return h._nv
+    return h.n
 
 
 # The oracle names every stream it meets by a structural key, so that

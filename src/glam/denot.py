@@ -520,11 +520,6 @@ def _fixpoint(j, f):
     return v
 
 
-def _succ(t, i, env):
-    n = t._nv  # a numeral denotes its value at once
-    return _den(t.body, i, env) + 1 if n is None else n
-
-
 def _prim(t, i, env):
     return PRIMITIVES[t.name](_den(t.left, i, env), _den(t.right, i, env))
 
@@ -532,7 +527,7 @@ def _prim(t, i, env):
 _RULES = {
     Var: lambda t, i, env: env[t.name],
     Num: lambda t, i, env: t.n,
-    Succ: _succ,
+    Succ: lambda t, i, env: _den(t.body, i, env) + 1,
     UnitVal: lambda t, i, env: SUNIT,
     Pair: lambda t, i, env: SPair(_den(t.left, i, env), _den(t.right, i, env)),
     Proj1: lambda t, i, env: _den(t.body, i, env).left,

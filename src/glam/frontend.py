@@ -41,13 +41,13 @@ version):
     atom     ::= ident | numeral | "(" ")" | "(" term ")"
                | "(" term "," term ")" | "(" term ":" type ")"
 
-Comments run from "--" to end of line.  A numeral is one node, which
-the runners read as succ^n zero.  The dotted binder forms and
-lambda/case bodies extend as far to the right as possible.  "prev. t"
-closes t with the identity substitution on its free variables; "prev
-t" carries the empty substitution.  The primitives addN and mulN are
-binary: an unsaturated use is eta-expanded while parsing, so every
-Prim node in the tree holds both operands.
+Comments run from "--" to end of line.  A numeral is one node.  The
+dotted binder forms and lambda/case bodies extend as far to the right
+as possible.  "prev. t" closes t with the identity substitution on its
+free variables; "prev t" carries the empty substitution.  The
+primitives addN and mulN are binary: an unsaturated use is
+eta-expanded while parsing, so every Prim node in the tree holds both
+operands.
 
 Parsing a program resolves identifiers immediately: each definition is
 inlined (as an ascribed closed term) into the ones after it.  This

@@ -92,7 +92,7 @@ _VALUE_CLASSES = frozenset(
 
 
 def is_value(t: Term) -> bool:
-    return t.__class__ in _VALUE_CLASSES or t._nv is not None  # succ 2 is a numeral
+    return t.__class__ in _VALUE_CLASSES
 
 
 class EvalOutcome:
@@ -175,10 +175,10 @@ def _c_boxsum(t):
 
 
 def _c_prim(t):
-    m, n = t.left._nv, t.right._nv
-    if m is None or n is None:
+    a, b = t.left, t.right
+    if a.__class__ is not Num or b.__class__ is not Num:
         return None
-    return numeral(PRIMITIVES[t.name](m, n))
+    return numeral(PRIMITIVES[t.name](a.n, b.n))
 
 
 _CONTRACT = {
@@ -300,8 +300,6 @@ def step_rd(t: Term):
     if red is not None:
         return red
     match t:
-        case Succ() if numeral_value(t) is not None:  # a numeral is a value
-            return None
         case Succ(b) | Proj1(b) | Proj2(b) | Unfold(b) | Unbox(b):
             r = step_rd(b)
             return None if r is None else t.__class__(r)

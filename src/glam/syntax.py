@@ -7,9 +7,9 @@ Equality of trees is object identity; the meaningful comparisons are
 ``alpha_eq`` and ``type_alpha_eq``.
 
 A natural number is one ``Num`` node holding its value, one node per
-value (``numeral``), however large.  ``succ t`` is a ``Succ`` node, and
-a ``Succ`` over a numeral is a numeral too, so every runner reads
-``succ^n zero`` as the number n.
+value (``numeral``), however large.  A numeral is a ``Num`` and nothing
+else: ``Succ`` of a ``Num`` builds the next numeral, so no ``Succ`` node
+has a numeral body.
 
 The three binder-with-substitution forms ``prev``/``box``/``boxp``
 carry an explicit substitution: an ordered list of (variable, term)
@@ -23,14 +23,12 @@ A field holds one of six kinds: a subterm, a binder, an explicit
 substitution, a type, a variable occurrence, or other data.  From that
 line the class gets its constructor and ``__match_args__``, and
 ``SHAPES`` (term classes) or ``TYPE_SHAPES`` (type classes) gets
-its entry.  A term's constructor also stores two facts about the node
+its entry.  A term's constructor also stores one fact about the node
 that every runner reads: ``_fv``, its free variables, built from its
-subterms' by the kinds of its fields, and ``_nv``, its value if it is a
-numeral (``Num`` and ``Succ`` declare ``numeral=``), else None.  The
-structural term traversals (``subst``, ``erase``, ``alpha_eq``) loop
-over ``SHAPES``; ``free_type_vars``, ``type_subst``, ``type_alpha_eq``
-and the type predicates and metrics of glam.typecheck loop over
-``TYPE_SHAPES``.
+subterms' by the kinds of its fields.  The structural term traversals
+(``subst``, ``erase``, ``alpha_eq``) loop over ``SHAPES``;
+``free_type_vars``, ``type_subst``, ``type_alpha_eq`` and the type
+predicates and metrics of glam.typecheck loop over ``TYPE_SHAPES``.
 """
 
 from __future__ import annotations
@@ -67,12 +65,10 @@ _EMPTY = frozenset()
 _JOIN = "if _p: _fv = _fv | _p if _fv else _p"  # shares _fv or _p when the other is empty
 
 
-def _term_facts(shape: dict, numeral) -> list:
+def _term_facts(shape: dict) -> list:
     """The lines that a term constructor runs after storing the fields
     in shape: they store ``_fv``, the node's free variables, joined from
-    its subterms' by the kinds of their fields, and, when the class
-    declares numeral=k, ``_nv``: k, an expression over the fields, plus
-    the numeral value of its one subterm, if it has one."""
+    its subterms' by the kinds of their fields."""
     lines = ["_fv = _EMPTY"]
     scope = None  # a binder field, or SUBST, scoping the next subterm
     for f, kind in shape.items():
@@ -90,10 +86,6 @@ def _term_facts(shape: dict, numeral) -> list:
         elif kind is VAR:
             lines += [f"_p = frozenset(({f},))", _JOIN]
     lines.append("_set(self, '_fv', _fv)")
-    if numeral is not None:
-        sub = [f for f, kind in shape.items() if kind is TERM]
-        nv = f"None if {sub[0]}._nv is None else {sub[0]}._nv + {numeral}" if sub else numeral
-        lines.append(f"_set(self, '_nv', {nv})")
     return lines
 
 
@@ -168,10 +160,9 @@ VOID = Void()
 
 class Term:
     __slots__ = ()
-    _nv = None  # not a numeral; see numeral_value
 
-    def __init_subclass__(cls, numeral=None, **shape):
-        _declare(cls, shape, loc=True, lines=_term_facts(shape, numeral))
+    def __init_subclass__(cls, **shape):
+        _declare(cls, shape, loc=True, lines=_term_facts(shape))
         SHAPES[cls] = tuple(shape.items())
 
     __setattr__ = __delattr__ = _frozen
@@ -183,8 +174,17 @@ class Term:
 
 
 class Var(Term, name=VAR): ...
-class Num(Term, n=DATA, numeral="n"): ...  # the numeral n, succ^n zero as one node
-class Succ(Term, body=TERM, numeral=1): ...  # the numeral one above body, if body is one
+class Num(Term, n=DATA): ...  # the numeral n, succ^n zero as one node
+
+
+class Succ(Term, body=TERM):
+    def __new__(cls, body, loc=None):
+        # succ of a numeral is the next numeral; a located one is a node of its own
+        if body.__class__ is Num:
+            return numeral(body.n + 1) if loc is None else Num(body.n + 1, loc=loc)
+        return object.__new__(cls)
+
+
 class UnitVal(Term): ...
 class Pair(Term, left=TERM, right=TERM): ...
 class Proj1(Term, body=TERM): ...
@@ -249,7 +249,7 @@ def numeral(n: int) -> Term:
 
 def numeral_value(t: Term) -> Optional[int]:
     """The n with t = succ^n zero, or None if t is not a numeral."""
-    return t._nv
+    return t.n if t.__class__ is Num else None
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +363,6 @@ def erase(t: Term) -> Term:
 
 
 def _erase(t: Term) -> Term:
-    if t._nv is not None:  # a numeral holds no annotation
-        return t
     if t.__class__ is Ascribe:
         return _erase(t.body)
     out = []
@@ -395,7 +393,7 @@ def alpha_eq(t: Term, u: Term) -> bool:
 
     Explicit-substitution binders are renamable; annotations are
     compared with type_alpha_eq, and a missing annotation only equals
-    a missing annotation.  Numerals are equal by value: succ 2 is 3.
+    a missing annotation.
     """
     return _aeq(t, u, {}, {}, [0])
 
@@ -410,8 +408,8 @@ def _aeq(t, u, envt, envu, ctr) -> bool:
     # the same node under the same renaming, or a closed node, equals itself
     if t is u and (envt == envu or not t._fv):
         return True
-    if t.__class__ is not u.__class__:  # numerals are equal by value: succ 2 is 3
-        return t._nv is not None and t._nv == u._nv
+    if t.__class__ is not u.__class__:
+        return False
     if t.__class__ is Var:
         return envt.get(t.name, t.name) == envu.get(u.name, u.name)
     scope = None  # the next subterm's binders in t and in u, and the environments they extend

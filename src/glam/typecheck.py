@@ -285,10 +285,9 @@ def _var(ctx, t, want):
 
 
 def _succ(ctx, t, want):
-    if t._nv is None:  # a numeral is a Nat as it stands
-        b2, _ = _elab(ctx, t.body, NAT)
-        if b2 is not t.body:
-            t = Succ(b2, loc=t.loc)
+    b2, _ = _elab(ctx, t.body, NAT)
+    if b2 is not t.body:
+        t = Succ(b2, loc=t.loc)
     return _done(t, NAT, want, t.loc)
 
 

@@ -71,7 +71,7 @@ Z1, Z2, Y1, Y2, X1 = (Var(v) for v in ("z1", "z2", "y1", "y2", "x1"))
 def test_parse_zeros_block():
     d = DEFS[0]
     assert d.name == "zeros" and d.arity == 0
-    assert d.head._nv == 0
+    assert d.head.n == 0
     assert alpha_eq(d.tail, Var("zeros"))
 
 

@@ -122,8 +122,9 @@ def test_free_vars_case_binders():
 # _reference_free_vars recomputes free variables by a recursive walk over
 # SHAPES, and _reference_numeral_value decodes a numeral by walking its
 # spine of succ down to a numeral node.  Neither reads or writes
-# anything on the nodes, so together they check the _fv and _nv that the
-# constructors store.
+# anything on the nodes, so together they check the _fv that the
+# constructors store, and numeral_value, which a Succ over a numeral
+# would fail: the constructor builds the next numeral instead.
 
 
 def _reference_free_vars(t, memo) -> frozenset:
@@ -274,6 +275,10 @@ def test_succ_of_a_numeral_reads_as_the_next_numeral():
     t = parse_term("succ 2")
     assert pretty(t) == "3"
     assert alpha_eq(t, numeral(3)) and alpha_eq(numeral(3), t)
+    # the constructor builds the next numeral: no Succ has a numeral body
+    assert Succ(numeral(2)) is numeral(3)
+    assert subst(Succ(Var("x")), {"x": numeral(2)}).__class__ is Num
+    assert M.trace(App(Lam("x", NAT, Succ(Var("x"))), numeral(2)))[-1] is numeral(3)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +386,7 @@ def test_a_non_term_or_non_type_is_named_in_the_error():
     ids=["elaborate", "infer", "pretty"],
 )
 def test_checker_and_printer_refuse_a_non_term_by_its_class(call):
-    # the rule is looked up before any node fact (_fv, _nv) is read
+    # the rule is looked up before any node fact (_fv) is read
     with pytest.raises(TypeError, match="^not a term: 5$"):
         call(5)
 
