@@ -3,10 +3,15 @@
 A type-directed generator builds closed terms of type Nat over Nat,
 products, sums and functions: numerals up to 10^30, ``succ``, ``addN``
 and ``mulN``, pairs and projections, ``inl``/``inr`` and ``case``,
-annotated lambdas and application.  It computes each program's value
-in Python as it builds the term.  For every program the type checker,
-both reduction machines, the call-by-need machine and the denotation
-must agree with that value
+annotated lambdas and application.  Every such type is constant, so
+the modal forms are drawn at any type too: ``prev{x <- u}. next t``,
+``unbox (box{x <- u}. t)``, ``prev{f <- u, a <- v}. (next f <*> next
+a)``, and ``case`` of ``boxp{x <- u}. s``, whose arms see their
+variables at a # type and read them with ``unbox``.  A body under a
+substitution sees only the substitution's variables.  The generator
+computes each program's value in Python as it builds the term.  For
+every program the type checker, both reduction machines, the
+call-by-need machine and the denotation must agree with that value
 (Pałka, Claessen, Russo and Hughes, "Testing an optimising compiler by
 generating random lambda terms", AST 2011).
 """
@@ -21,19 +26,25 @@ from glam.syntax import (
     NAT,
     App,
     Arrow,
+    Box,
+    BoxI,
+    BoxSum,
     Case,
     Fold,
     In1,
     In2,
     Lam,
+    LaterApp,
     Next,
     Pair,
+    Prev,
     Prim,
     Prod,
     Proj1,
     Proj2,
     Succ,
     Sum,
+    Unbox,
     Var,
     alpha_eq,
     numeral,
@@ -52,23 +63,30 @@ def _type(draw, depth):
     """Nat, or a product, sum or function type of at most depth formers."""
     if depth == 0 or draw(st.booleans()):
         return NAT
-    former = draw(st.sampled_from([Prod, Sum, Arrow]))
+    former = draw(st.sampled_from((Prod, Sum, Arrow)))
     return former(_type(draw, depth - 1), _type(draw, depth - 1))
 
 
 def _term(draw, ty, ctx, size):
     """A term of type ty under ctx (variable -> type), and its meaning:
     a function from an environment (variable -> value) to its value.  A
-    value is an int, a pair, ("inl", v) or ("inr", v), or a function.
-    Eliminations are drawn while size lasts; introductions end every
-    branch, as the type's structure bounds them."""
+    value is an int, a pair, ("inl", v) or ("inr", v), or a function; a
+    value of a # type is the value under it.  Eliminations and modal
+    forms are drawn while size lasts; introductions end every branch,
+    as the type's structure bounds them."""
     forms = ["intro"] + [x for x, a in ctx.items() if type_alpha_eq(a, ty)]
+    forms += [(x,) for x, a in ctx.items() if isinstance(a, Box) and type_alpha_eq(a.body, ty)]
     if size > 0:
-        forms += ["app", "fst", "snd", "case"] + (["succ", "addN", "mulN"] if ty is NAT else [])
-    form = draw(st.sampled_from(forms))
+        forms += ["app", "fst", "snd", "case", "modal"] + (["succ", "addN", "mulN"] if ty is NAT else [])
+    form = draw(st.sampled_from(tuple(forms)))  # a tuple: hypothesis caches the strategy
+    if form == "modal":  # the four modal forms weigh as one elimination, which bounds the size
+        form = draw(st.sampled_from(("prev", "box", "prev <*>", "boxp")))
     sub = size - 1
     if form in ctx:
         return Var(form), lambda env: env[form]
+    if isinstance(form, tuple):  # unbox x, for x of type #ty
+        x = form[0]
+        return Unbox(Var(x)), lambda env: env[x]
     if form == "intro":
         if ty is NAT:
             n = draw(_NUMBERS)
@@ -93,6 +111,17 @@ def _term(draw, ty, ctx, size):
         op = int.__add__ if form == "addN" else int.__mul__
         return Prim(form, a, b), lambda env: op(fa(env), fb(env))
     other = _type(draw, 1)
+    if form in ("prev", "box"):
+        x = draw(st.sampled_from(_NAMES))
+        (u, fu), (b, fb) = _term(draw, other, ctx, sub), _term(draw, ty, {x: other}, sub)
+        sigma = ((x, u),)
+        t = Prev(sigma, Next(b)) if form == "prev" else Unbox(BoxI(sigma, b))
+        return t, lambda env: fb({x: fu(env)})
+    if form == "prev <*>":
+        f, a = draw(st.permutations(_NAMES))[:2]
+        (u, fu), (v, fv) = _term(draw, Arrow(other, ty), ctx, sub), _term(draw, other, ctx, sub)
+        t = Prev(((f, u), (a, v)), LaterApp(Next(Var(f)), Next(Var(a))))
+        return t, lambda env: fu(env)(fv(env))
     if form == "app":
         (f, ff), (a, fa) = _term(draw, Arrow(other, ty), ctx, sub), _term(draw, other, ctx, sub)
         return App(f, a), lambda env: ff(env)(fa(env))
@@ -101,7 +130,13 @@ def _term(draw, ty, ctx, size):
         p, fp = _term(draw, Prod(ty, other) if first else Prod(other, ty), ctx, sub)
         return (Proj1 if first else Proj2)(p), lambda env: fp(env)[0 if first else 1]
     right = _type(draw, 1)
-    s, fs = _term(draw, Sum(other, right), ctx, sub)
+    if form == "case":
+        s, fs = _term(draw, Sum(other, right), ctx, sub)
+    else:  # case boxp{w <- u}. body: the arms see the sum's sides at # types
+        w, wty = draw(st.sampled_from(_NAMES)), _type(draw, 1)
+        (u, fu), (body, fbody) = _term(draw, wty, ctx, sub), _term(draw, Sum(other, right), {w: wty}, sub)
+        s, fs = BoxSum(((w, u),), body), lambda env: fbody({w: fu(env)})
+        other, right = Box(other), Box(right)
     x, y = draw(st.sampled_from(_NAMES)), draw(st.sampled_from(_NAMES))
     (a, fa), (b, fb) = _term(draw, ty, {**ctx, x: other}, sub), _term(draw, ty, {**ctx, y: right}, sub)
 
