@@ -423,11 +423,9 @@ def _den(t: Term, i: int, env: dict) -> SemVal:
             return rule(t, i, env)
         finally:
             st.depth = depth - 1
-    try:
-        memo = t._sem
-    except AttributeError:
-        memo = {}
-        object.__setattr__(t, "_sem", memo)
+    memo = getattr(t, "_sem", None)
+    if memo is None:
+        object.__setattr__(t, "_sem", memo := {})
     return _recall(st, memo, i, depth, rule, t, i, {})
 
 
@@ -495,9 +493,9 @@ def _app(t, i, env):
     """Application.  ``fix[T]`` itself denotes ``_fixpoint``, and a
     closed ``fix[T] f`` whose stage i-1 is in its memo denotes f applied
     at stage i to ``next`` of that value (see the module docstring)."""
-    if getattr(t, "_fix", False):
+    if t._fix:
         return SFun(_fixpoint, i)
-    if getattr(t.fun, "_fix", False):
+    if t.fun.__class__ is App and t.fun._fix:
         prev = getattr(t, "_sem", {}).get(i - 1)
         if prev is not None:
             # charged as a memo hit at t would be: the caller is one level up

@@ -21,14 +21,24 @@ Each class statement declares its class's fields once, in order, with
 what each holds: ``class Lam(Term, var=BINDER, annot=TYPE, body=TERM)``.
 A field holds one of six kinds: a subterm, a binder, an explicit
 substitution, a type, a variable occurrence, or other data.  From that
-line the class gets its constructor and ``__match_args__``, and
-``SHAPES`` (term classes) or ``TYPE_SHAPES`` (type classes) gets
-its entry.  A term's constructor also stores one fact about the node
-that every runner reads: ``_fv``, its free variables, built from its
-subterms' by the kinds of its fields.  The structural term traversals
-(``subst``, ``erase``, ``alpha_eq``) loop over ``SHAPES``;
-``free_type_vars``, ``type_subst``, ``type_alpha_eq`` and the type
-predicates and metrics of glam.typecheck loop over ``TYPE_SHAPES``.
+line the class gets its constructor, ``__match_args__`` and
+``__slots__``, and ``SHAPES`` (term classes) or ``TYPE_SHAPES`` (type
+classes) gets its entry.  The structural term traversals (``subst``,
+``erase``, ``alpha_eq``) loop over ``SHAPES``; ``free_type_vars``,
+``type_subst``, ``type_alpha_eq`` and the type predicates and metrics
+of glam.typecheck loop over ``TYPE_SHAPES``.
+
+No node has an instance dict: its other slots, which ``Term`` and
+``Type`` declare, hold the facts recorded on it, and a slot that a class
+body lists is a mark, False until set.  A term's constructor stores
+``loc`` and ``_fv``, its free variables, joined from its subterms' by
+the kinds of their fields.  glam.typecheck records a closed term's
+``_ty`` and ``_el`` (its type, and its elaborated node or None),
+glam.denot its ``_sem`` (its denotation by stage), and glam.frontend
+the mark ``_fix`` on ``fix[T]``'s ``App``.  On a type,
+``free_type_vars`` records ``_ftv``, and glam.typecheck ``_wf`` and
+``_unfold``.  Equal ``_fv`` sets are one frozenset, shared through a
+process-wide table that, like the numeral table, never shrinks.
 """
 
 from __future__ import annotations
@@ -61,14 +71,14 @@ TYPE_SHAPES: dict = {}
 _STORE = {SUBST: "tuple(tuple(p) for p in {})"}
 
 _EMPTY = frozenset()
+_FVS: dict = {}  # one shared _fv object per free-variable set
 # the generated code's locals start with "_", so that no field name hides them
-_JOIN = "if _p: _fv = _fv | _p if _fv else _p"  # shares _fv or _p when the other is empty
+_JOIN = "if _p and _p is not _fv: _fv = _fv | _p if _fv else _p"  # shares a set where it can
 
 
 def _term_facts(shape: dict) -> list:
     """The lines that a term constructor runs after storing the fields
-    in shape: they store ``_fv``, the node's free variables, joined from
-    its subterms' by the kinds of their fields."""
+    in shape: they store ``_fv``, as the table's copy of the set."""
     lines = ["_fv = _EMPTY"]
     scope = None  # a binder field, or SUBST, scoping the next subterm
     for f, kind in shape.items():
@@ -85,7 +95,7 @@ def _term_facts(shape: dict) -> list:
             scope = SUBST
         elif kind is VAR:
             lines += [f"_p = frozenset(({f},))", _JOIN]
-    lines.append("_set(self, '_fv', _fv)")
+    lines.append("_set__fv(self, _FVS.setdefault(_fv, _fv))")
     return lines
 
 
@@ -94,16 +104,24 @@ def _declare(cls, shape: dict, loc: bool, lines=()) -> None:
     loc, that stores them and then runs lines."""
     fields = tuple(shape)
     params = ", ".join(("self",) + fields + (("loc=None",) if loc else ()))
-    # straight-line stores, as a dataclass's __init__ makes them: a loop
-    # over the fields builds nodes slower
-    stores = [f"_set(self, {f!r}, {_STORE.get(k, '{}').format(f)})" for f, k in shape.items()]
-    stores += ["_set(self, 'loc', loc)"] if loc else []
-    stores += lines
-    ns = {"_set": object.__setattr__, "_EMPTY": _EMPTY, "__name__": __name__}
+    # straight-line stores through each slot's descriptor (_set_x stores
+    # x): a loop, or object.__setattr__, builds nodes slower
+    stores = [f"_set_{f}(self, {_STORE.get(k, '{}').format(f)})" for f, k in shape.items()]
+    stores += ["_set_loc(self, loc)"] if loc else []
+    stores += [*lines, *(f"_set_{m}(self, False)" for m in cls.__slots__[len(shape):])]  # marks
+    ns = {f"_set_{x}": getattr(cls, x).__set__ for x in cls.__slots__ + cls.__base__.__slots__}
+    ns.update(_EMPTY=_EMPTY, _FVS=_FVS, __name__=__name__)
     exec(f"def __init__({params}):\n    " + ("\n    ".join(stores) or "pass"), ns)
     ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__init__ = ns["__init__"]
     cls.__match_args__ = fields
+
+
+class _Declared(type):
+    """A term or type class's slots: its fields, then those its body lists."""
+    def __new__(mcs, name, bases, ns, /, **shape):  # a field may be called name
+        ns["__slots__"] = (*shape, *ns.get("__slots__", ()))
+        return super().__new__(mcs, name, bases, ns, **shape)
 
 
 def _frozen(self, name, value=None):
@@ -118,8 +136,8 @@ def _frozen(self, name, value=None):
 # under #) lives in glam.typecheck, not here.
 
 
-class Type:
-    __slots__ = ()
+class Type(metaclass=_Declared):
+    __slots__ = ("_ftv", "_wf", "_unfold")
 
     def __init_subclass__(cls, **shape):
         _declare(cls, shape, loc=False)
@@ -158,8 +176,8 @@ VOID = Void()
 # is not in the shape: the traversals never compare it.
 
 
-class Term:
-    __slots__ = ()
+class Term(metaclass=_Declared):
+    __slots__ = ("loc", "_fv", "_sem", "_ty", "_el")
 
     def __init_subclass__(cls, **shape):
         _declare(cls, shape, loc=True, lines=_term_facts(shape))
@@ -194,7 +212,7 @@ class In1(Term, annot=TYPE, body=TERM): ...  # annot is the full sum type, when 
 class In2(Term, annot=TYPE, body=TERM): ...
 class Case(Term, scrut=TERM, var1=BINDER, arm1=TERM, var2=BINDER, arm2=TERM): ...
 class Lam(Term, var=BINDER, annot=TYPE, body=TERM): ...
-class App(Term, fun=TERM, arg=TERM): ...
+class App(Term, fun=TERM, arg=TERM): __slots__ = ("_fix",)  # a mark: False unless fix[T]
 class Fold(Term, annot=TYPE, body=TERM): ...  # annot is a mu-type, when given
 class Unfold(Term, body=TERM): ...
 class Next(Term, body=TERM): ...

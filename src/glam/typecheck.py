@@ -216,9 +216,9 @@ def _elab(ctx, t, want):
     """Elaborate t by its class's rule, recording a closed node's synthesis.
 
     A closed term synthesizes the same way in every context, so the
-    outcome is recorded on the (immutable, shared) node as ``_ty``: the
-    elaborated node (None when it is t itself) and its type, or None
-    when t does not synthesize.  The node's ``_fv``, stored when it was
+    outcome is recorded on the (immutable, shared) node: ``_ty`` is its
+    type, or None when t does not synthesize, and ``_el`` the elaborated
+    node (None when it is t itself).  The node's ``_fv``, stored when it was
     built, tells whether it is closed.  A check of a closed node against
     a type alpha-equal to its recorded one is answered from the record,
     which a synthesizing term allows; the checking rule runs only where
@@ -238,22 +238,20 @@ def _elab(ctx, t, want):
     try:
         if t._fv:
             return rule(ctx, t, want)
-        syn = getattr(t, "_ty", _UNTYPED)
-        if syn is _UNTYPED:
+        ty = getattr(t, "_ty", _UNTYPED)
+        if ty is _UNTYPED:
             try:
                 t2, ty = rule(ctx, t, None)
             except TypingError:
                 object.__setattr__(t, "_ty", None)
                 if want is None:
                     raise
-                syn = None
+                ty = None
             else:
-                syn = (None if t2 is t else t2, ty)
-                object.__setattr__(t, "_ty", syn)
-        if syn is not None:
-            t2, ty = syn
-            if want is None or ty is want or type_alpha_eq(ty, want):
-                return t if t2 is None else t2, ty
+                object.__setattr__(t, "_el", None if t2 is t else t2)
+                object.__setattr__(t, "_ty", ty)
+        if ty is not None and (want is None or ty is want or type_alpha_eq(ty, want)):
+            return t._el or t, ty
         return rule(ctx, t, want)
     except TypingError as e:
         if e.loc is None:

@@ -542,7 +542,7 @@ def _marked_nodes(t):
         if id(u) in seen:
             continue
         seen.add(id(u))
-        if "_fix" in u.__dict__:
+        if u.__class__ is App and u._fix:
             out.append(u)
         for name, kind in SHAPES[u.__class__]:
             v = getattr(u, name)
@@ -722,7 +722,7 @@ def test_diag_rows_den_calls_grow_at_most_like_stage_squared(monkeypatch):
 
 
 def _rebuilding_app(t, i, env):  # the App rule that builds every fixed point from stage 1
-    if "_fix" in t.__dict__:
+    if t._fix:
         return SFun(denot._fixpoint, i)
     return denot._den(t.fun, i, env).call(i, denot._den(t.arg, i, env))
 
@@ -795,7 +795,7 @@ def test_reused_stage_is_charged_as_a_memo_hit(monkeypatch):
     # the node would be: the caller's depth plus the entry's reach
     monkeypatch.setattr(corpus, "ENV", _fresh_env())
     t = elaborate({}, corpus.term("paperfolds"))[0]
-    assert "_fix" in t.fun.__dict__
+    assert t.fun._fix
     v = den_term({}, t, STREAM_G, 3, elaborated=True)
     t._sem[3] = (v, 40)  # as if stage 3 had reached 40 levels down
     for i in (3, 4):

@@ -340,12 +340,19 @@ def test_syntax_class_contract(c):
             setattr(x, f, getattr(x, f))
         with pytest.raises(AttributeError):
             delattr(x, f)
+    # a node's storage is its class statement's: its fields and the
+    # declared facts, and no instance dict
+    assert not hasattr(x, "__dict__")
+    with pytest.raises(AttributeError):
+        object.__setattr__(x, "_undeclared", 1)
     if term:
         assert x._fv == _reference_free_vars(x, {})
+        assert c(*args)._fv is x._fv  # one shared object per free-variable set
+    fact = "_fv" if term else "_ftv"
     with pytest.raises(AttributeError):
-        x._fv = frozenset()
-    object.__setattr__(x, "_fv", frozenset("q"))
-    assert x._fv == frozenset("q")
+        setattr(x, fact, frozenset())
+    object.__setattr__(x, fact, frozenset("q"))
+    assert getattr(x, fact) == frozenset("q")
     y = c(*args)
     assert x == x and x != y
     assert hash(x) == object.__hash__(x) and hash(y) == object.__hash__(y)
