@@ -78,7 +78,7 @@ _JOIN = "if _p and _p is not _fv: _fv = _fv | _p if _fv else _p"  # shares a set
 
 def _term_facts(shape: dict) -> list:
     """The lines that a term constructor runs after storing the fields
-    in shape: they store ``_fv``, as the table's copy of the set."""
+    in shape: they store ``_fv``, the table's copy of the joined set."""
     lines = ["_fv = _EMPTY"]
     scope = None  # a binder field, or SUBST, scoping the next subterm
     for f, kind in shape.items():

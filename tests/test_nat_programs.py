@@ -8,8 +8,14 @@ the modal forms are drawn at any type too: ``prev{x <- u}. next t``,
 ``unbox (box{x <- u}. t)``, ``prev{f <- u, a <- v}. (next f <*> next
 a)``, and ``case`` of ``boxp{x <- u}. s``, whose arms see their
 variables at a # type and read them with ``unbox``.  A body under a
-substitution sees only the substitution's variables.  The generator
-computes each program's value in Python as it builds the term.  For
+substitution sees only the substitution's variables.  A Nat may also
+be an element of a prelude stream, ``fst (unfold (prev (snd (unfold
+…))))`` at depth up to 3: of ``zeros``, ``toggle``, ``paperfolds``,
+``iterate' f n`` or ``mapg f s``, with f a generated ``Nat -> Nat``
+lambda.  The stream is closed, as a substitution cannot bind its
+non-constant type; these programs run ``fix`` and the records on shared
+prelude nodes.  The generator computes each program's value in Python
+as it builds the term, a stream's elements from their closed forms.  For
 every program the type checker, both reduction machines, the
 call-by-need machine and the denotation must agree with that value
 (Pałka, Claessen, Russo and Hughes, "Testing an optimising compiler by
@@ -19,6 +25,7 @@ generating random lambda terms", AST 2011).
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+import corpus
 from glam.denot import den_nat
 from glam.machine import is_value, observe_nat, step, step_rd, take_stream, trace
 from glam.prelude import load_prelude
@@ -45,6 +52,7 @@ from glam.syntax import (
     Succ,
     Sum,
     Unbox,
+    Unfold,
     Var,
     alpha_eq,
     numeral,
@@ -56,7 +64,11 @@ from glam.typecheck import elaborate, infer
 # binder names are few, so that binders shadow each other
 _NAMES = ("x", "y", "z")
 _NUMBERS = st.one_of(st.integers(0, 4), st.integers(0, 10**30))
-_ZEROS = load_prelude().lookup("zeros").resolved()
+_PRELUDE = {name: load_prelude().lookup(name).resolved()
+            for name in ("zeros", "toggle", "paperfolds", "iterate'", "mapg")}
+_ZEROS = _PRELUDE["zeros"]
+# the closed streams' elements, as functions of the index
+_ELEMENTS = {"zeros": lambda k: 0, "toggle": corpus._toggle, "paperfolds": corpus._pf}
 
 
 def _type(draw, depth):
@@ -77,7 +89,8 @@ def _term(draw, ty, ctx, size):
     forms = ["intro"] + [x for x, a in ctx.items() if type_alpha_eq(a, ty)]
     forms += [(x,) for x, a in ctx.items() if isinstance(a, Box) and type_alpha_eq(a.body, ty)]
     if size > 0:
-        forms += ["app", "fst", "snd", "case", "modal"] + (["succ", "addN", "mulN"] if ty is NAT else [])
+        forms += ["app", "fst", "snd", "case", "modal"]
+        forms += ["succ", "addN", "mulN", "probe"] if ty is NAT else []
     form = draw(st.sampled_from(tuple(forms)))  # a tuple: hypothesis caches the strategy
     if form == "modal":  # the four modal forms weigh as one elimination, which bounds the size
         form = draw(st.sampled_from(("prev", "box", "prev <*>", "boxp")))
@@ -103,6 +116,12 @@ def _term(draw, ty, ctx, size):
         x = draw(st.sampled_from(_NAMES))
         body, fbody = _term(draw, ty.cod, {**ctx, x: ty.dom}, sub)
         return Lam(x, ty.dom, body), lambda env: lambda v: fbody({**env, x: v})
+    if form == "probe":  # the k-th element of a closed stream
+        k = draw(st.integers(0, 3))
+        t, elements = _stream(draw, size)
+        for _ in range(k):
+            t = Prev((), Proj2(Unfold(t)))
+        return Proj1(Unfold(t)), lambda env: elements(k)
     if form == "succ":
         a, fa = _term(draw, NAT, ctx, sub)
         return Succ(a), lambda env: fa(env) + 1
@@ -144,6 +163,33 @@ def _term(draw, ty, ctx, size):
         tag, v = fs(env)
         return fa({**env, x: v}) if tag == "inl" else fb({**env, y: v})
     return Case(s, x, a, y, b), case
+
+
+def _stream(draw, size):
+    """A closed prelude stream and its elements, as a function of the
+    index: ``zeros``, ``toggle`` or ``paperfolds``, or while size lasts
+    ``mapg f s`` or ``iterate' f n``, with f a generated lambda."""
+    form = draw(st.sampled_from((("mapg", "iterate'") if size > 0 else ()) + tuple(_ELEMENTS)))
+    if form in _ELEMENTS:
+        return _PRELUDE[form], _ELEMENTS[form]
+    x = draw(st.sampled_from(_NAMES))
+    body, fbody = _term(draw, NAT, {x: NAT}, size - 1)
+    f = App(_PRELUDE[form], Lam(x, NAT, body))
+
+    def apply(v):
+        return fbody({x: v})
+
+    if form == "mapg":
+        s, fs = _stream(draw, size - 1)
+        return App(f, s), lambda k: apply(fs(k))
+    n, fn = _term(draw, NAT, {}, size - 1)
+
+    def iterate(k):
+        v = fn({})
+        for _ in range(k):
+            v = apply(v)
+        return v
+    return App(f, n), iterate
 
 
 @st.composite
