@@ -66,7 +66,6 @@ _NAMES = ("x", "y", "z")
 _NUMBERS = st.one_of(st.integers(0, 4), st.integers(0, 10**30))
 _PRELUDE = {name: load_prelude().lookup(name).resolved()
             for name in ("zeros", "toggle", "paperfolds", "iterate'", "mapg")}
-_ZEROS = _PRELUDE["zeros"]
 # the closed streams' elements, as functions of the index
 _ELEMENTS = {"zeros": lambda k: 0, "toggle": corpus._toggle, "paperfolds": corpus._pf}
 
@@ -209,7 +208,7 @@ def _runs_everywhere(t, value):
     assert is_value(tr[-1]) and numeral_value(tr[-1]) == value
     assert observe_nat(t) == den_nat(t, 1) == den_nat(t2, 2, elaborated=True) == value
     # the call-by-need machine reads it as the head of a stream
-    assert take_stream(Fold(None, Pair(t, Next(_ZEROS))), 1) == [value]
+    assert take_stream(Fold(None, Pair(t, Next(_PRELUDE["zeros"]))), 1) == [value]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
