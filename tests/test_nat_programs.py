@@ -52,7 +52,6 @@ from glam.syntax import (
     Succ,
     Sum,
     Unbox,
-    Unfold,
     Var,
     alpha_eq,
     numeral,
@@ -118,9 +117,7 @@ def _term(draw, ty, ctx, size):
     if form == "probe":  # the k-th element of a closed stream
         k = draw(st.integers(0, 3))
         t, elements = _stream(draw, size)
-        for _ in range(k):
-            t = Prev((), Proj2(Unfold(t)))
-        return Proj1(Unfold(t)), lambda env: elements(k)
+        return corpus.element_probe(t, k), lambda env: elements(k)
     if form == "succ":
         a, fa = _term(draw, NAT, ctx, sub)
         return Succ(a), lambda env: fa(env) + 1
